@@ -4,11 +4,17 @@ The grid wavefunction evolves under
 
     H_eff = -(hbar^2/2m) d^2/dx^2 + (m omega^2/2) x^2 - i hbar kappa (x - a)^2,
 
-with the gate term present only while a measurement runs. Crank-Nicolson
-steps solve (1 + i dt H/2hbar) psi' = (1 - i dt H/2hbar) psi on a tridiagonal
-system with Dirichlet walls; the scheme is unitary up to roundoff while the
-gate is off and contracts the norm while it is on. Only the Gaussian filter
-has a gate Hamiltonian of this form; step filters are rejected.
+with the gate term present only while a measurement runs. With z = i dt/2hbar
+a Crank-Nicolson step is psi' = (1 + zH)^-1 (1 - zH) psi on a tridiagonal
+system with Dirichlet walls. Since (1 + zH)^-1 (1 - zH) = 2 (1 + zH)^-1 - 1,
+each evolve call factors 1 + zH once (LAPACK zgttrf) and every step is one
+tridiagonal solve, psi' = 2 y - psi with (1 + zH) y = psi. The scheme is
+unitary up to roundoff while the gate is off. Under the absorptive gate it
+is A-stable, so the norm never grows, but not L-stable: where
+w = kappa dt (x - a)^2 / 2 is large, the step factor (1 - w)/(1 + w) tends
+to -1 instead of exp(-2w), so the gate step must stay small against
+1/(kappa (x - a)^2) to reproduce the filter. Only the Gaussian filter has
+a gate Hamiltonian of this form; step filters are rejected.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .collapse import OutcomeDistribution
 from .stroboscopic import ChainRecord, StroboscopicPlan
@@ -124,26 +130,22 @@ def apply_hamiltonian(op: TridiagonalOperator, values: np.ndarray) -> np.ndarray
 
 def crank_nicolson_evolve(op: TridiagonalOperator, values: np.ndarray, dt: float,
                           steps: int, hbar: float = 1.0) -> np.ndarray:
-    """Advance `steps` Crank-Nicolson steps of size dt; returns new values."""
+    """Advance `steps` Crank-Nicolson steps of size dt; returns new values.
+
+    Raises LinAlgError when 1 + i dt H/2hbar is singular."""
     z = 1j * dt / (2.0 * hbar)
-    n = values.size
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = z * op.off_diagonal
-    ab[1, :] = 1.0 + z * op.diagonal
-    ab[2, :-1] = z * op.off_diagonal
+    off = np.full(values.size - 1, z * op.off_diagonal)
+    dl, d, du, du2, ipiv, info = zgttrf(off, 1.0 + z * op.diagonal, off)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"Crank-Nicolson matrix is singular (zgttrf info {info})")
     psi = values
     for _ in range(steps):
-        rhs = 2.0 * psi - apply_explicit(ab, psi)
-        psi = solve_banded((1, 1), ab, rhs, check_finite=False)
+        y, _ = zgttrs(dl, d, du, du2, ipiv, psi)
+        y *= 2.0
+        y -= psi
+        psi = y
     return psi
-
-
-def apply_explicit(ab: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """(1 + z H) psi from the banded storage of the implicit matrix."""
-    out = ab[1] * psi
-    out[:-1] += ab[0, 1:] * psi[1:]
-    out[1:] += ab[2, :-1] * psi[:-1]
-    return out
 
 
 def _leak_check(wavefn: GridWavefunction, stage: str, tolerance: float = 1e-8):

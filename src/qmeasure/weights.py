@@ -75,8 +75,9 @@ class WeightMatrix:
     quad_error: float = 0.0
 
 
-def _window_nodes(spec: WeightSpec, limit: float, budget: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Integration rule restricted to the filter's support window."""
+def _window(spec: WeightSpec, limit: float, budget: int) -> tuple[float, float, int] | None:
+    """The filter's support window clipped to the basis domain, with the
+    node count of its base rule (None when the window is empty)."""
     half = spec.window_halfwidth()
     lo = max(-limit, spec.center - half)
     hi = min(limit, spec.center + half)
@@ -84,8 +85,7 @@ def _window_nodes(spec: WeightSpec, limit: float, budget: int) -> tuple[np.ndarr
         return None
     # node budget follows the window length; 16 nodes per unit length keeps
     # several nodes per oscillation of the highest retained level
-    points = int(min(budget, max(64, 16.0 * (hi - lo) + 48)))
-    return gauss_legendre(lo, hi, points)
+    return lo, hi, int(min(budget, max(64, 16.0 * (hi - lo) + 48)))
 
 
 def weight_matrix(
@@ -98,27 +98,27 @@ def weight_matrix(
 
     The integral runs over the filter's own support window (clipped to the
     basis domain), which keeps narrow filters fully resolved and reduces the
-    step filter to a panel on which its integrand is smooth. The quadrature
-    error is estimated by re-evaluating with a denser rule; estimates above
-    `tolerance` raise QuadratureError.
+    step filter to a panel on which its integrand is smooth. The base rule
+    has at most `points` nodes; its quadrature error is estimated against a
+    rule with 1.4 times as many nodes, and estimates above `tolerance` raise
+    QuadratureError.
     """
-    limit = domain_halfwidth(basis)
+    window = _window(spec, domain_halfwidth(basis), points)
+    if window is None:
+        return WeightMatrix(basis, spec, np.zeros((basis.n_max, basis.n_max)))
+    lo, hi, nodes = window
 
-    def build(budget: int) -> np.ndarray:
-        rule = _window_nodes(spec, limit, budget)
-        if rule is None:
-            return np.zeros((basis.n_max, basis.n_max))
-        x, w = rule
+    def build(count: int) -> np.ndarray:
+        x, w = gauss_legendre(lo, hi, count)
         u = eigenfunction_matrix(basis, x)
         f = evaluate_weight(spec, x)
         return (u * (w * f)) @ u.T
 
-    m = build(points)
-    m_dense = build(int(points * 1.4) + 7)
-    err = float(np.max(np.abs(m - m_dense)))
+    m = build(nodes)
+    err = float(np.max(np.abs(m - build(int(nodes * 1.4) + 7))))
     if err > tolerance:
         raise QuadratureError(
             f"weight matrix quadrature error {err:.3e} exceeds {tolerance:.1e}; "
             "raise the node budget"
         )
-    return WeightMatrix(basis, spec, m_dense, err)
+    return WeightMatrix(basis, spec, m, err)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve, solve_banded
 
 from qmeasure import (
     BoundaryLeakError,
@@ -15,6 +16,7 @@ from qmeasure import (
     run_stroboscopic,
     sample_gaussian,
 )
+from qmeasure.pde import TridiagonalOperator
 
 MASS = 0.5
 OMEGA = 1.0
@@ -40,14 +42,17 @@ def test_sample_gaussian_moments():
     assert var == pytest.approx(4.5, rel=1e-6)
 
 
+def _dense(op):
+    n = op.diagonal.size
+    return np.diag(op.diagonal) + op.off_diagonal * (np.eye(n, k=1) + np.eye(n, k=-1))
+
+
 def test_apply_hamiltonian_matches_dense():
     rng = np.random.default_rng(7)
     lat = Lattice(-5.0, 5.0, 64)
     op = effective_hamiltonian(lat, MASS, OMEGA, gate_center=0.3, gate_coupling=2.0)
-    dense = np.diag(op.diagonal)
-    dense += op.off_diagonal * (np.eye(64, k=1) + np.eye(64, k=-1))
     v = rng.normal(size=64) + 1j * rng.normal(size=64)
-    assert np.allclose(apply_hamiltonian(op, v), dense @ v, atol=1e-12)
+    assert np.allclose(apply_hamiltonian(op, v), _dense(op) @ v, atol=1e-12)
 
 
 def test_hamiltonian_on_ground_state():
@@ -76,6 +81,60 @@ def test_evolution_does_not_mutate_input():
     op = effective_hamiltonian(COARSE, MASS, OMEGA)
     crank_nicolson_evolve(op, wavefn.values, 0.01, 5)
     assert np.array_equal(wavefn.values, before)
+
+
+def _banded_reference(op, values, dt, steps, hbar=1.0):
+    """Crank-Nicolson as an explicit right-hand side plus a banded solve per step."""
+    z = 1j * dt / (2.0 * hbar)
+    ab = np.zeros((3, values.size), dtype=complex)
+    ab[0, 1:] = z * op.off_diagonal
+    ab[1, :] = 1.0 + z * op.diagonal
+    ab[2, :-1] = z * op.off_diagonal
+    psi = values
+    for _ in range(steps):
+        explicit = ab[1] * psi
+        explicit[:-1] += ab[0, 1:] * psi[1:]
+        explicit[1:] += ab[2, :-1] * psi[:-1]
+        psi = solve_banded((1, 1), ab, 2.0 * psi - explicit)
+    return psi
+
+
+def test_gated_steps_match_dense_iteration():
+    """With the non-Hermitian gate on, each step is solve(1 + zH, (1 - zH) psi)."""
+    rng = np.random.default_rng(11)
+    lat = Lattice(-5.0, 5.0, 64)
+    op = effective_hamiltonian(lat, MASS, OMEGA, gate_center=0.3, gate_coupling=2.0)
+    dense = _dense(op)
+    dt, steps = 0.01, 7
+    z = 1j * dt / 2.0
+    psi = rng.normal(size=64) + 1j * rng.normal(size=64)
+    expected = psi
+    for _ in range(steps):
+        expected = solve(np.eye(64) + z * dense, (np.eye(64) - z * dense) @ expected)
+    values = crank_nicolson_evolve(op, psi, dt, steps)
+    assert np.max(np.abs(values - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+def test_gate_matches_banded_formulation():
+    """A 200-step gate on the default lattice agrees with the per-step banded solve."""
+    lat = Lattice()
+    tau = 1e-5 * T
+    wavefn = sample_gaussian(lat, 5.0)
+    op = effective_hamiltonian(lat, MASS, OMEGA, gate_center=0.8,
+                               gate_coupling=measurement_coupling(1.0, tau))
+    expected = _banded_reference(op, wavefn.values, tau / 200, 200)
+    values = crank_nicolson_evolve(op, wavefn.values, tau / 200, 200)
+    assert np.max(np.abs(values - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+def test_singular_step_matrix_raises():
+    """A zero pivot in 1 + zH is reported, not divided through."""
+    dt = 0.01
+    diagonal = np.ones(16, dtype=complex)
+    diagonal[5] = 2j / dt
+    op = TridiagonalOperator(diagonal, 0j)
+    with pytest.raises(np.linalg.LinAlgError):
+        crank_nicolson_evolve(op, np.ones(16, dtype=complex), dt, 3)
 
 
 def test_ground_state_phase():

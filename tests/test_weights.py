@@ -61,6 +61,14 @@ def test_matrix_elements_step(basis):
     assert wm.matrix[1, 1] == pytest.approx(S11, abs=1e-9)
 
 
+def test_quadrature_error_is_measured(basis):
+    """The check rule is denser than the base rule, so the estimate is a
+    real, small difference rather than an identical rule's zero."""
+    for kind in ("gaussian", "step"):
+        wm = weight_matrix(basis, WeightSpec(kind))
+        assert 0.0 < wm.quad_error < 1e-12
+
+
 def test_centered_filter_preserves_parity(basis):
     wm = weight_matrix(basis, WeightSpec("gaussian"))
     # odd-even couplings vanish for a symmetric weight
