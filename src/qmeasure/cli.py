@@ -62,6 +62,13 @@ def _apply_overrides(cfg, args):
     if args.engines:
         cfg = dataclasses.replace(
             cfg, engines=tuple(e.strip().upper() for e in args.engines.split(",") if e.strip()))
+    if args.command == "distribution":
+        # the outcome density comes from engine C alone; unknown names stay
+        # for validate_config to report
+        if "C" not in cfg.engines:
+            raise ConfigError("distribution runs only on engine C; include C in the engines")
+        cfg = dataclasses.replace(
+            cfg, engines=tuple(e for e in cfg.engines if e not in ("A", "B")))
     if args.filter:
         cfg = dataclasses.replace(cfg, filter=dataclasses.replace(cfg.filter, kind=args.filter))
     output = cfg.output

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .oscillator import EigenState, domain_halfwidth, eigenfunction_matrix, position_moments
-from .weights import WeightMatrix, WeightSpec, weight_matrix
+from .weights import WeightMatrix, WeightSpec, quadrature_nodes, weight_matrix
 
 
 class GridCoverageError(RuntimeError):
@@ -46,9 +46,7 @@ def outcome_amplitudes(state: EigenState, kind: str, error: float, outcomes: np.
     limit = domain_halfwidth(basis)
     outcomes = np.asarray(outcomes, dtype=float)
 
-    base_x, base_w = np.polynomial.legendre.leggauss(
-        int(min(800, max(64, 16.0 * 2.0 * half + 48)))
-    )
+    base_x, base_w = np.polynomial.legendre.leggauss(quadrature_nodes(2.0 * half))
     lo = np.clip(outcomes - half, -limit, limit)
     hi = np.clip(outcomes + half, -limit, limit)
     span = hi - lo
@@ -87,18 +85,12 @@ class OutcomeDistribution:
         norms_squared: np.ndarray,
         kind: str,
         error: float,
-        density_power: int = 2,
         boundary_tolerance: float = 1e-6,
     ) -> "OutcomeDistribution":
-        """Summarize raw collapsed norms ||w_a psi||^2 into a distribution.
-
-        density_power selects P ~ (||psi_a||^2)^(power/2); the physical
-        outcome density uses power 2 (Born rule in the sharp-filter limit).
-        """
-        if density_power not in (2, 4):
-            raise ValueError("density_power must be 2 or 4")
+        """Summarize raw collapsed norms ||w_a psi||^2 into a distribution,
+        P(a) ~ ||w_a psi||^2 (the Born rule in the sharp-filter limit)."""
         outcomes = np.asarray(outcomes, dtype=float)
-        raw = np.asarray(norms_squared, dtype=float) ** (density_power // 2)
+        raw = np.asarray(norms_squared, dtype=float)
         total = np.trapezoid(raw, outcomes)
         if not np.isfinite(total) or total <= 0.0:
             raise GridCoverageError("outcome grid carries no probability")
@@ -137,7 +129,6 @@ def outcome_distribution(
     points: int = 801,
     halfwidth: float | None = None,
     center: float | None = None,
-    density_power: int = 2,
 ) -> OutcomeDistribution:
     """Outcome density of a single impulsive measurement of `state`.
 
@@ -153,4 +144,22 @@ def outcome_distribution(
     outcomes = np.linspace(center - halfwidth, center + halfwidth, int(points))
     amps = outcome_amplitudes(work, kind, error, outcomes)
     norms2 = np.sum(np.abs(amps) ** 2, axis=1)
-    return OutcomeDistribution.from_norms(outcomes, norms2, kind, error, density_power)
+    return OutcomeDistribution.from_norms(outcomes, norms2, kind, error)
+
+
+def _self_sizing_scan(scan, error: float, var: float, seed: float | None) -> OutcomeDistribution:
+    """Run `scan(halfwidth)` on a window sized to the expected uncertainty.
+
+    The window spans 10x sqrt(error^2 + 2 var), raised to 10x `seed` (the
+    previous measurement's uncertainty) when one is given; if the measured
+    uncertainty disagrees with the window by more than 15% the scan runs
+    once more at the corrected span.
+    """
+    guess = float(np.sqrt(error**2 + 2.0 * max(var, 0.0)))
+    if seed is not None:
+        guess = max(guess, seed)
+    halfwidth = 10.0 * guess
+    dist = scan(halfwidth)
+    if abs(10.0 * dist.delta_a_eff - halfwidth) > 0.15 * halfwidth:
+        dist = scan(10.0 * dist.delta_a_eff)
+    return dist

@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .stroboscopic import StroboscopicPlan
 from .weights import measurement_coupling
 
 
@@ -170,19 +171,6 @@ class WidthRecord:
     stabilized: bool
 
 
-def _resolve_results(results: str | Sequence[float], value: float, count: int) -> np.ndarray:
-    if isinstance(results, str):
-        if results == "constant":
-            return np.full(count, float(value))
-        if results == "alternating":
-            return float(value) * (-1.0) ** np.arange(count)
-        raise ValueError(f"unknown results policy {results!r}")
-    arr = np.asarray(results, dtype=float)
-    if arr.size < count:
-        raise ValueError(f"need at least {count} imposed results, got {arr.size}")
-    return arr[:count]
-
-
 def stroboscopic_widths(
     width: float,
     interval: float,
@@ -204,11 +192,10 @@ def stroboscopic_widths(
     then imposed with the given results and the packet evolved onward.
     The `stabilized` flag marks a relative width change below 1e-3.
     """
-    if measurements < 1:
-        raise ValueError("need at least one measurement")
-    if interval <= 0 or gate_duration <= 0:
-        raise ValueError("interval and gate_duration must be positive")
-    imposed = _resolve_results(results, result_value, measurements - 1)
+    if gate_duration <= 0:
+        raise ValueError("gate_duration must be positive")
+    imposed = StroboscopicPlan(interval, measurements, "gaussian", error, results,
+                               result_value).imposed_results()
     packet = GaussianPacket.from_width(width, center=center)
     records = []
     prev_width = None

@@ -1,9 +1,14 @@
-"""Experiment harness: configuration tree, engine drivers, result emission.
+"""Experiment harness: configuration tree, engine table, result emission.
 
 A single JSON-serializable configuration describes the physical setup, the
-measurement plan, per-engine numerics, and the output layout. Three engines
-produce the same record shape: A (closed-form Gaussian packets), B (grid
-Crank-Nicolson with explicit gates), C (eigenbasis filter-matrix chains).
+measurement plan, per-engine numerics, and the output layout. `ENGINES`
+maps each engine letter to an adapter with one signature,
+(cfg, plans, final) -> one list of ChainRecords per StroboscopicPlan:
+A (closed-form Gaussian packets), B (grid Crank-Nicolson with explicit
+gates), C (eigenbasis filter-matrix chains). With `final` set an adapter
+need only scan the last measurement, whose record comes last. `run`,
+`sweep` and `cross_validate` go through that table alone, and `_records`
+turns chain records into ResultRecords in one place.
 Emission is deterministic: fixed column order, fixed float formatting, a
 content hash of the settings in every JSON document, and no wall-clock
 fields in any artifact.
@@ -11,6 +16,7 @@ fields in any artifact.
 
 import dataclasses
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -22,12 +28,12 @@ from .gaussian_analytic import stroboscopic_widths
 from .oscillator import OscillatorBasis, basis_quadrature, project_gaussian
 from .pde import Lattice, run_stroboscopic
 from .stroboscopic import (
+    ChainRecord,
     StroboscopicPlan,
-    asymptotic_uncertainty,
     nth_outcome_distribution,
     uncertainty_evolution,
 )
-from .weights import FILTER_KINDS
+from .weights import WeightSpec
 
 
 class ConfigError(ValueError):
@@ -38,7 +44,6 @@ class TruncationError(RuntimeError):
     """The eigenbasis is too small to represent the initial state."""
 
 
-ENGINES = ("A", "B", "C")
 FORMATS = ("csv", "json", "svg")
 GENERATOR = "qmeasure 0.1.0"
 
@@ -86,7 +91,6 @@ class NumericsConfig:
     pde_outcome_points: int = 129
     gate_fraction: float = 1e-5
     gate_steps: int = 200
-    density_power: int = 2
     lattice: LatticeConfig = field(default_factory=LatticeConfig)
 
 
@@ -113,26 +117,9 @@ class ExperimentConfig:
     sweep: SweepConfig = field(default_factory=SweepConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
     engines: tuple = ("A", "C")
-    deterministic: bool = True
-
-
-_NESTED = {
-    "units": UnitsConfig,
-    "state": StateConfig,
-    "filter": FilterConfig,
-    "plan": PlanConfig,
-    "numerics": NumericsConfig,
-    "sweep": SweepConfig,
-    "output": OutputConfig,
-    "lattice": LatticeConfig,
-}
 
 
 def _coerce_scalar(raw, default, where: str):
-    if isinstance(default, bool):
-        if not isinstance(raw, bool):
-            raise ConfigError(f"{where}: expected true or false")
-        return raw
     if isinstance(default, int):
         if isinstance(raw, bool) or not isinstance(raw, (int, float)) or int(raw) != raw:
             raise ConfigError(f"{where}: expected an integer")
@@ -163,8 +150,10 @@ def _build(cls, data, path: str = ""):
         where = f"{path}{key}"
         if key not in allowed:
             raise ConfigError(f"unknown configuration key '{where}'")
-        if key in _NESTED:
-            kwargs[key] = _build(_NESTED[key], raw, where + ".")
+        f = allowed[key]
+        default = f.default if f.default is not dataclasses.MISSING else f.default_factory()
+        if dataclasses.is_dataclass(default):
+            kwargs[key] = _build(type(default), raw, where + ".")
         elif key == "results":
             if isinstance(raw, str):
                 kwargs[key] = raw
@@ -178,8 +167,6 @@ def _build(cls, data, path: str = ""):
         elif key in ("engines", "formats"):
             kwargs[key] = _string_tuple(raw, where)
         else:
-            f = allowed[key]
-            default = f.default if f.default is not dataclasses.MISSING else f.default_factory()
             kwargs[key] = _coerce_scalar(raw, default, where)
     return cls(**kwargs)
 
@@ -192,7 +179,7 @@ def config_from_mapping(data: dict) -> "ExperimentConfig":
 def load_config(path=None) -> "ExperimentConfig":
     """Read a JSON configuration file; None gives the validated defaults."""
     if path is None:
-        return validate_config(ExperimentConfig())
+        return config_from_mapping({})
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -204,32 +191,32 @@ def load_config(path=None) -> "ExperimentConfig":
     return config_from_mapping(data)
 
 
+def _section(name: str, build, *args):
+    """build(*args), reporting its ValueError as a ConfigError of section `name`."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def validate_config(cfg: "ExperimentConfig") -> "ExperimentConfig":
     """Cross-field validation; returns the config with engines and formats
-    deduplicated into canonical order."""
-    u, s, flt, plan, num, sweep, out = (cfg.units, cfg.state, cfg.filter, cfg.plan,
-                                        cfg.numerics, cfg.sweep, cfg.output)
-    if u.mass <= 0 or u.frequency <= 0 or u.hbar <= 0:
-        raise ConfigError("units: mass, frequency, and hbar must be positive")
-    if s.width <= 0:
-        raise ConfigError("state.width must be positive")
-    if flt.kind not in FILTER_KINDS:
-        raise ConfigError(f"filter.kind must be one of {FILTER_KINDS}")
-    if flt.error <= 0:
-        raise ConfigError("filter.error must be positive")
-    if plan.interval_over_period <= 0:
-        raise ConfigError("plan.interval_over_period must be positive")
-    if plan.measurements < 1:
-        raise ConfigError("plan.measurements must be at least 1")
-    if isinstance(plan.results, str):
-        if plan.results not in ("constant", "alternating"):
-            raise ConfigError(f"plan.results: unknown policy {plan.results!r}")
-    elif len(plan.results) < plan.measurements - 1:
-        raise ConfigError(
-            f"plan.results: need at least {plan.measurements - 1} outcomes"
-        )
+    deduplicated into canonical order.
+
+    The basis, filter, plan and lattice are built once so that their own
+    checks apply; the rest no object owns."""
+    u, s, flt, num, lat, sweep, out = (cfg.units, cfg.state, cfg.filter, cfg.numerics,
+                                       cfg.numerics.lattice, cfg.sweep, cfg.output)
     if num.levels < 2:
         raise ConfigError("numerics.levels must be at least 2")
+    _section("units", OscillatorBasis, u.mass, u.frequency, num.levels, u.hbar)
+    if s.width <= 0:
+        raise ConfigError("state.width must be positive")
+    _section("filter", WeightSpec, flt.kind, 0.0, flt.error)
+    _section("plan", _plan, cfg, cfg.plan.interval_over_period * _period(cfg))
+    _section("numerics.lattice", Lattice, lat.x_min, lat.x_max, lat.points)
+    if lat.time_step <= 0:
+        raise ConfigError("numerics.lattice.time_step must be positive")
     if num.quadrature_points < 32:
         raise ConfigError("numerics.quadrature_points must be at least 32")
     if num.outcome_points < 9 or num.pde_outcome_points < 9:
@@ -238,11 +225,6 @@ def validate_config(cfg: "ExperimentConfig") -> "ExperimentConfig":
         raise ConfigError("numerics.gate_fraction must lie in (0, 0.1)")
     if num.gate_steps < 10:
         raise ConfigError("numerics.gate_steps must be at least 10")
-    if num.density_power not in (2, 4):
-        raise ConfigError("numerics.density_power must be 2 or 4")
-    lat = num.lattice
-    if lat.x_max <= lat.x_min or lat.points < 8 or lat.time_step <= 0:
-        raise ConfigError("numerics.lattice: bad grid or time step")
     if sweep.start_over_period <= 0 or sweep.stop_over_period < sweep.start_over_period:
         raise ConfigError("sweep: need 0 < start_over_period <= stop_over_period")
     if sweep.points < 2:
@@ -255,25 +237,19 @@ def validate_config(cfg: "ExperimentConfig") -> "ExperimentConfig":
     engines = tuple(e for e in ENGINES if e in cfg.engines)
     unknown = [e for e in cfg.engines if e not in ENGINES]
     if unknown:
-        raise ConfigError(f"unknown engines {unknown}; choose from {ENGINES}")
+        raise ConfigError(f"unknown engines {unknown}; choose from {tuple(ENGINES)}")
     if not engines:
         raise ConfigError("engines must name at least one of A, B, C")
-    if flt.kind == "step" and ("A" in engines or "B" in engines):
+    if flt.kind == "step" and engines != ("C",):
         raise ConfigError("step filters run only on engine C")
-    if cfg.deterministic is not True:
-        raise ConfigError("deterministic must stay true; outputs are reproducible by contract")
     formats = tuple(f for f in FORMATS if f in out.formats)
     return dataclasses.replace(cfg, engines=engines,
                                output=dataclasses.replace(out, formats=formats))
 
 
-def as_dict(cfg: "ExperimentConfig") -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def config_hash(cfg: "ExperimentConfig") -> str:
     """SHA-256 of the canonical JSON form of the settings."""
-    blob = json.dumps(as_dict(cfg), sort_keys=True, separators=(",", ":"), default=list)
+    blob = json.dumps(dataclasses.asdict(cfg), sort_keys=True, separators=(",", ":"), default=list)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -294,7 +270,8 @@ def _period(cfg) -> float:
     return 2.0 * np.pi / cfg.units.frequency
 
 
-def _basis_and_state(cfg):
+def _initial_state(cfg):
+    """The configured packet projected onto engine C's eigenbasis."""
     u, num = cfg.units, cfg.numerics
     basis = OscillatorBasis(u.mass, u.frequency, num.levels, u.hbar)
     reach = abs(cfg.state.center) + 8.0 * cfg.state.width
@@ -305,7 +282,7 @@ def _basis_and_state(cfg):
             f"levels={num.levels} captures only {captured:.6f} of the initial packet; "
             "raise numerics.levels"
         )
-    return basis, state
+    return state
 
 
 def _plan(cfg, interval: float) -> StroboscopicPlan:
@@ -314,82 +291,64 @@ def _plan(cfg, interval: float) -> StroboscopicPlan:
                             cfg.filter.error, p.results, p.result_value)
 
 
-def _engine_a_records(cfg, interval: float, dt_over_T: float) -> list:
-    u, p = cfg.units, cfg.plan
+def _engine_a(cfg, plans, final: bool) -> list:
+    # the closed form is cheap: it always walks the whole chain
+    u = cfg.units
     tau = cfg.numerics.gate_fraction * _period(cfg)
-    recs = stroboscopic_widths(cfg.state.width, interval, p.measurements,
-                               cfg.filter.error, tau, u.mass, u.frequency, u.hbar,
-                               center=cfg.state.center, results=p.results,
-                               result_value=p.result_value)
-    return [ResultRecord("A", cfg.filter.kind, dt_over_T, r.n, r.delta_a_eff,
-                         r.center, r.norm_squared) for r in recs]
+    return [[ChainRecord(w.n, w.delta_a_eff, w.center, w.norm_squared)
+             for w in stroboscopic_widths(cfg.state.width, plan.interval, plan.measurements,
+                                          plan.error, tau, u.mass, u.frequency, u.hbar,
+                                          center=cfg.state.center, results=plan.results,
+                                          result_value=plan.result_value)]
+            for plan in plans]
 
 
-def _engine_b_records(cfg, interval: float, dt_over_T: float, scan_at=None) -> list:
+def _engine_b(cfg, plans, final: bool) -> list:
     u, num = cfg.units, cfg.numerics
     lat = Lattice(num.lattice.x_min, num.lattice.x_max, num.lattice.points)
-    recs = run_stroboscopic(lat, _plan(cfg, interval), cfg.state.width,
-                            num.gate_fraction * _period(cfg), u.mass, u.frequency,
-                            u.hbar, center=cfg.state.center,
-                            gate_steps=num.gate_steps,
-                            time_step=num.lattice.time_step,
-                            outcome_points=num.pde_outcome_points,
-                            density_power=num.density_power, scan_at=scan_at)
-    return [ResultRecord("B", cfg.filter.kind, dt_over_T, r.n, r.delta_a_eff,
-                         r.a_tilde, r.norm_squared) for r in recs]
+    return [run_stroboscopic(lat, plan, cfg.state.width, num.gate_fraction * _period(cfg),
+                             u.mass, u.frequency, u.hbar, center=cfg.state.center,
+                             gate_steps=num.gate_steps, time_step=num.lattice.time_step,
+                             outcome_points=num.pde_outcome_points,
+                             scan_at={plan.measurements} if final else None)
+            for plan in plans]
 
 
-def _engine_c_records(cfg, interval: float, dt_over_T: float) -> list:
-    _, state = _basis_and_state(cfg)
-    recs = uncertainty_evolution(_plan(cfg, interval), state,
-                                 points=cfg.numerics.outcome_points,
-                                 density_power=cfg.numerics.density_power)
-    return [ResultRecord("C", cfg.filter.kind, dt_over_T, r.n, r.delta_a_eff,
-                         r.a_tilde, r.norm_squared) for r in recs]
+def _engine_c(cfg, plans, final: bool) -> list:
+    # the final scan is seeded from a scan at N-2, as asymptotic_uncertainty does
+    state = _initial_state(cfg)
+    return [uncertainty_evolution(plan, state, cfg.numerics.outcome_points,
+                                  {plan.measurements - 2, plan.measurements} if final else None)
+            for plan in plans]
+
+
+ENGINES = {"A": _engine_a, "B": _engine_b, "C": _engine_c}
+
+
+def _records(cfg: "ExperimentConfig", ratios, final: bool) -> list:
+    """ResultRecords of every configured engine at each interval/period
+    ratio; with `final`, only each chain's last measurement."""
+    plans = [_plan(cfg, r * _period(cfg)) for r in ratios]
+    records = []
+    for engine in cfg.engines:
+        for r, chain in zip(ratios, ENGINES[engine](cfg, plans, final)):
+            records.extend(ResultRecord(engine, cfg.filter.kind, r, c.n, c.delta_a_eff,
+                                        c.a_tilde, c.norm_squared)
+                           for c in (chain[-1:] if final else chain))
+    return records
 
 
 def run(cfg: "ExperimentConfig") -> list:
     """Per-measurement uncertainty records for every configured engine."""
-    dt_over_T = cfg.plan.interval_over_period
-    interval = dt_over_T * _period(cfg)
-    records = []
-    for engine in cfg.engines:
-        if engine == "A":
-            records.extend(_engine_a_records(cfg, interval, dt_over_T))
-        elif engine == "B":
-            records.extend(_engine_b_records(cfg, interval, dt_over_T))
-        else:
-            records.extend(_engine_c_records(cfg, interval, dt_over_T))
-    return records
+    return _records(cfg, [cfg.plan.interval_over_period], final=False)
 
 
 def sweep(cfg: "ExperimentConfig") -> list:
     """Asymptotic uncertainty against the quiescent interval, one row per
     grid point per engine (n is the plan's measurement count)."""
-    T = _period(cfg)
     grid = np.linspace(cfg.sweep.start_over_period, cfg.sweep.stop_over_period,
                        cfg.sweep.points)
-    N = cfg.plan.measurements
-    records = []
-    for engine in cfg.engines:
-        if engine == "A":
-            for r in grid:
-                rec = _engine_a_records(cfg, float(r) * T, float(r))[-1]
-                records.append(rec)
-        elif engine == "B":
-            for r in grid:
-                rows = _engine_b_records(cfg, float(r) * T, float(r), scan_at={N})
-                records.append(rows[-1])
-        else:
-            _, state = _basis_and_state(cfg)
-            for r in grid:
-                res = asymptotic_uncertainty(_plan(cfg, float(r) * T), state,
-                                             points=cfg.numerics.outcome_points,
-                                             density_power=cfg.numerics.density_power)
-                records.append(ResultRecord("C", cfg.filter.kind, float(r), N,
-                                            res.delta_a_eff, res.a_tilde,
-                                            res.norm_squared))
-    return records
+    return _records(cfg, [float(r) for r in grid], final=True)
 
 
 @dataclass(frozen=True)
@@ -417,12 +376,15 @@ class ValidationReport:
         return all(p.passed for p in self.pairs)
 
 
-def cross_validate(cfg: "ExperimentConfig", tol_early: float = 0.10,
-                   tol_late: float = 0.01) -> ValidationReport:
+# cross_validate's gates: transient measurements (n <= 7) and asymptotic ones
+TOL_EARLY, TOL_LATE = 0.10, 0.01
+
+
+def cross_validate(cfg: "ExperimentConfig") -> ValidationReport:
     """Pairwise engine agreement on delta_a_eff.
 
     Measurements n <= 7 are transient (the packet is still narrowing) and
-    held to `tol_early`; n >= 8 must agree to `tol_late`. Needs at least two
+    held to TOL_EARLY; n >= 8 must agree to TOL_LATE. Needs at least two
     engines and at least eight measurements.
     """
     if len(cfg.engines) < 2:
@@ -434,29 +396,25 @@ def cross_validate(cfg: "ExperimentConfig", tol_early: float = 0.10,
     for rec in records:
         by_engine.setdefault(rec.engine, {})[rec.n] = rec.delta_a_eff
     pairs = []
-    names = sorted(by_engine)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            a, b = by_engine[names[i]], by_engine[names[j]]
-            early, late = 0.0, 0.0
-            for n in sorted(set(a) & set(b)):
-                rel = abs(a[n] - b[n]) / (0.5 * (a[n] + b[n]))
-                if n >= 8:
-                    late = max(late, rel)
-                else:
-                    early = max(early, rel)
-            pairs.append(PairReport(f"{names[i]}/{names[j]}", early, late,
-                                    tol_early, tol_late))
+    for x, y in itertools.combinations(sorted(by_engine), 2):
+        a, b = by_engine[x], by_engine[y]
+        early, late = 0.0, 0.0
+        for n in sorted(set(a) & set(b)):
+            rel = abs(a[n] - b[n]) / (0.5 * (a[n] + b[n]))
+            if n >= 8:
+                late = max(late, rel)
+            else:
+                early = max(early, rel)
+        pairs.append(PairReport(f"{x}/{y}", early, late, TOL_EARLY, TOL_LATE))
     return ValidationReport(tuple(pairs), tuple(records))
 
 
 def distribution(cfg: "ExperimentConfig") -> OutcomeDistribution:
     """Outcome density of the plan's final measurement (eigenbasis engine)."""
-    _, state = _basis_and_state(cfg)
+    state = _initial_state(cfg)
     interval = cfg.plan.interval_over_period * _period(cfg)
     return nth_outcome_distribution(_plan(cfg, interval), state,
-                                    points=cfg.numerics.outcome_points,
-                                    density_power=cfg.numerics.density_power)
+                                    points=cfg.numerics.outcome_points)
 
 
 CSV_HEADER = "engine,filter,dt_over_T,n,delta_a_eff,a_tilde,norm"
@@ -467,34 +425,31 @@ def _fmt(value: float) -> str:
     return f"{value + 0.0:.12g}"
 
 
-def _records_csv(records) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join([r.engine, r.filter, _fmt(r.dt_over_T), str(r.n),
-                               _fmt(r.delta_a_eff), _fmt(r.a_tilde), _fmt(r.norm)]))
-    return "\n".join(lines) + "\n"
+def _csv(header: str, rows) -> str:
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
 
 
-def _records_json(cfg, records, extra: dict | None = None) -> str:
-    doc = {
-        "config_hash": config_hash(cfg),
-        "generated_by": GENERATOR,
-        "settings": as_dict(cfg),
-        "records": [dataclasses.asdict(r) for r in records],
-    }
-    if extra:
-        doc.update(extra)
+def _json(cfg, body: dict) -> str:
+    """`body` in the envelope every JSON document shares."""
+    doc = {"config_hash": config_hash(cfg), "generated_by": GENERATOR,
+           "settings": dataclasses.asdict(cfg), **body}
     return json.dumps(doc, sort_keys=True, indent=2, default=list) + "\n"
 
 
+def _write(cfg, stem: str, render: dict) -> list:
+    """Write render[fmt]() to <stem>.<fmt> for every configured format;
+    returns the paths."""
+    out_dir = Path(cfg.output.directory)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for fmt in cfg.output.formats:
+        path = out_dir / f"{stem}.{fmt}"
+        path.write_text(render[fmt]())
+        written.append(path)
+    return written
+
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
-
-
-def _ticks(lo: float, hi: float, count: int = 5) -> list:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = np.linspace(lo, hi, count)
-    return [float(v) for v in raw]
 
 
 def render_line_chart(series, x_label: str, y_label: str, title: str) -> str:
@@ -521,11 +476,11 @@ def render_line_chart(series, x_label: str, y_label: str, title: str) -> str:
         f'<rect width="{w}" height="{h}" fill="white"/>',
         f'<text x="{w / 2:.0f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
     ]
-    for tv in _ticks(x_lo, x_hi):
+    for tv in np.linspace(x_lo, x_hi, 5).tolist():
         px = sx(tv)
         parts.append(f'<line x1="{px:.1f}" y1="{h - mb}" x2="{px:.1f}" y2="{h - mb + 5}" stroke="black"/>')
         parts.append(f'<text x="{px:.1f}" y="{h - mb + 20}" text-anchor="middle">{tv:.3g}</text>')
-    for tv in _ticks(y_lo, y_hi):
+    for tv in np.linspace(y_lo, y_hi, 5).tolist():
         py = sy(tv)
         parts.append(f'<line x1="{ml - 5}" y1="{py:.1f}" x2="{ml}" y2="{py:.1f}" stroke="black"/>')
         parts.append(f'<text x="{ml - 9}" y="{py + 4:.1f}" text-anchor="end">{tv:.3g}</text>')
@@ -547,80 +502,50 @@ def render_line_chart(series, x_label: str, y_label: str, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _chart_for(records, mode: str) -> str:
-    series = []
-    keys = []
+def _chart_for(records, sweep_mode: bool) -> str:
+    series = {}
     for r in records:
-        key = f"{r.engine} ({r.filter})"
-        if key not in keys:
-            keys.append(key)
-    for key in keys:
-        rows = [r for r in records if f"{r.engine} ({r.filter})" == key]
-        if mode == "sweep":
-            xs = [r.dt_over_T for r in rows]
-        else:
-            xs = [r.n for r in rows]
-        series.append((key, xs, [r.delta_a_eff for r in rows]))
-    x_label = "interval / period" if mode == "sweep" else "measurement index n"
-    return render_line_chart(series, x_label, "effective uncertainty",
-                             "Stroboscopic measurement uncertainty")
+        xs, ys = series.setdefault(f"{r.engine} ({r.filter})", ([], []))
+        xs.append(r.dt_over_T if sweep_mode else r.n)
+        ys.append(r.delta_a_eff)
+    return render_line_chart([(key, xs, ys) for key, (xs, ys) in series.items()],
+                             "interval / period" if sweep_mode else "measurement index n",
+                             "effective uncertainty", "Stroboscopic measurement uncertainty")
 
 
 def emit(cfg: "ExperimentConfig", records, stem: str, extra: dict | None = None) -> list:
     """Write the configured formats under output.directory; returns paths."""
-    out_dir = Path(cfg.output.directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for fmt in cfg.output.formats:
-        path = out_dir / f"{stem}.{fmt}"
-        if fmt == "csv":
-            path.write_text(_records_csv(records))
-        elif fmt == "json":
-            path.write_text(_records_json(cfg, records, extra))
-        else:
-            mode = "sweep" if stem == "sweep" else "run"
-            path.write_text(_chart_for(records, mode))
-        written.append(path)
-    return written
+    return _write(cfg, stem, {
+        "csv": lambda: _csv(CSV_HEADER, ([r.engine, r.filter, _fmt(r.dt_over_T), str(r.n),
+                                          _fmt(r.delta_a_eff), _fmt(r.a_tilde), _fmt(r.norm)]
+                                         for r in records)),
+        "json": lambda: _json(cfg, {"records": [dataclasses.asdict(r) for r in records],
+                                    **(extra or {})}),
+        "svg": lambda: _chart_for(records, stem == "sweep"),
+    })
 
 
 DISTRIBUTION_HEADER = "engine,filter,dt_over_T,a,density"
 
 
 def emit_distribution(cfg: "ExperimentConfig", dist: OutcomeDistribution) -> list:
-    """Write the final-measurement outcome density in the configured formats."""
-    out_dir = Path(cfg.output.directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dt_over_T = cfg.plan.interval_over_period
-    written = []
-    for fmt in cfg.output.formats:
-        path = out_dir / f"distribution.{fmt}"
-        if fmt == "csv":
-            lines = [DISTRIBUTION_HEADER]
-            for a, p in zip(dist.outcomes, dist.density):
-                lines.append(",".join(["C", cfg.filter.kind, _fmt(dt_over_T),
-                                       _fmt(float(a)), _fmt(float(p))]))
-            path.write_text("\n".join(lines) + "\n")
-        elif fmt == "json":
-            doc = {
-                "config_hash": config_hash(cfg),
-                "generated_by": GENERATOR,
-                "settings": as_dict(cfg),
-                "distribution": {
-                    "engine": "C",
-                    "filter": cfg.filter.kind,
-                    "dt_over_T": dt_over_T,
-                    "a_tilde": dist.a_tilde,
-                    "delta_a_eff": dist.delta_a_eff,
-                    "outcomes": [float(v) for v in dist.outcomes],
-                    "density": [float(v) for v in dist.density],
-                },
-            }
-            path.write_text(json.dumps(doc, sort_keys=True, indent=2, default=list) + "\n")
-        else:
-            chart = render_line_chart(
-                [(f"C ({cfg.filter.kind})", dist.outcomes, dist.density)],
-                "outcome a", "probability density", "Final measurement outcome density")
-            path.write_text(chart)
-        written.append(path)
-    return written
+    """Write engine C's final-measurement outcome density in the configured
+    formats."""
+    kind, dt_over_T = cfg.filter.kind, cfg.plan.interval_over_period
+    return _write(cfg, "distribution", {
+        "csv": lambda: _csv(DISTRIBUTION_HEADER, (["C", kind, _fmt(dt_over_T), _fmt(float(a)),
+                                                   _fmt(float(p))]
+                                                  for a, p in zip(dist.outcomes, dist.density))),
+        "json": lambda: _json(cfg, {"distribution": {
+            "engine": "C",
+            "filter": kind,
+            "dt_over_T": dt_over_T,
+            "a_tilde": dist.a_tilde,
+            "delta_a_eff": dist.delta_a_eff,
+            "outcomes": [float(v) for v in dist.outcomes],
+            "density": [float(v) for v in dist.density],
+        }}),
+        "svg": lambda: render_line_chart(
+            [(f"C ({kind})", dist.outcomes, dist.density)],
+            "outcome a", "probability density", "Final measurement outcome density"),
+    })

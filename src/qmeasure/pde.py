@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .collapse import OutcomeDistribution
+from .collapse import OutcomeDistribution, _self_sizing_scan
 from .stroboscopic import ChainRecord, StroboscopicPlan
 from .weights import measurement_coupling
 
@@ -168,32 +168,19 @@ def _gate_evolved(wavefn: GridWavefunction, a: float, kappa: float, duration: fl
 
 def _scan(wavefn: GridWavefunction, error: float, gate_duration: float, gate_steps: int,
           points: int, mass: float, omega: float, hbar: float,
-          density_power: int, seed: float | None) -> OutcomeDistribution:
-    """Outcome distribution by rerunning the gate for each candidate outcome."""
+          seed: float | None) -> OutcomeDistribution:
+    """Outcome distribution by rerunning the gate for each candidate outcome,
+    on a self-sizing window centered on the packet's mean."""
     kappa = measurement_coupling(error, gate_duration)
     mean, var = wavefn.moments()
-    guess = float(np.sqrt(error**2 + 2.0 * max(var, 0.0)))
-    if seed is not None:
-        guess = max(guess, seed)
-    halfwidth = 10.0 * guess
 
-    def norms_for(hw: float) -> tuple[np.ndarray, np.ndarray]:
+    def scan(hw: float) -> OutcomeDistribution:
         outcomes = np.linspace(mean - hw, mean + hw, points)
-        norms = np.empty(points)
-        for i, a in enumerate(outcomes):
-            evolved = _gate_evolved(wavefn, float(a), kappa, gate_duration,
-                                    gate_steps, mass, omega, hbar)
-            norms[i] = evolved.norm_squared()
-        return outcomes, norms
+        norms = [_gate_evolved(wavefn, float(a), kappa, gate_duration, gate_steps,
+                               mass, omega, hbar).norm_squared() for a in outcomes]
+        return OutcomeDistribution.from_norms(outcomes, norms, "gaussian", error)
 
-    outcomes, norms = norms_for(halfwidth)
-    dist = OutcomeDistribution.from_norms(outcomes, norms, "gaussian", error,
-                                          density_power=density_power)
-    if abs(10.0 * dist.delta_a_eff - halfwidth) > 0.15 * halfwidth:
-        outcomes, norms = norms_for(10.0 * dist.delta_a_eff)
-        dist = OutcomeDistribution.from_norms(outcomes, norms, "gaussian", error,
-                                              density_power=density_power)
-    return dist
+    return _self_sizing_scan(scan, error, var, seed)
 
 
 def run_stroboscopic(
@@ -208,7 +195,6 @@ def run_stroboscopic(
     gate_steps: int = 200,
     time_step: float | None = None,
     outcome_points: int = 129,
-    density_power: int = 2,
     scan_at: set[int] | None = None,
 ) -> list[ChainRecord]:
     """Full grid simulation of the plan, starting from a Gaussian packet.
@@ -243,7 +229,7 @@ def run_stroboscopic(
         _leak_check(wavefn, f"before measurement {n}")
         if scan_at is None or n in scan_at:
             dist = _scan(wavefn.normalized(), plan.error, gate_duration, gate_steps,
-                         outcome_points, mass, omega, hbar, density_power, seed)
+                         outcome_points, mass, omega, hbar, seed)
             records.append(ChainRecord(n, dist.delta_a_eff, dist.a_tilde, norm_ref))
             seed = dist.delta_a_eff
         if n < plan.measurements:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .collapse import OutcomeDistribution, outcome_distribution
+from .collapse import OutcomeDistribution, _self_sizing_scan, outcome_distribution
 from .oscillator import EigenState, free_phase_factors, position_moments
 from .weights import FILTER_KINDS, WeightSpec, weight_matrix
 
@@ -106,6 +106,13 @@ class _ChainWalker:
         self.coeffs = self.phases * (self.weight(float(self.imposed[n - 1])) @ self.coeffs)
         _check_norm(self.norm_squared, n)
 
+    def impose_all(self) -> "_ChainWalker":
+        """Impose results 1..N-1; the walker then holds the state entering
+        the N-th measurement."""
+        for n in range(1, self.plan.measurements):
+            self.impose_and_advance(n)
+        return self
+
     @property
     def norm_squared(self) -> float:
         return float(np.vdot(self.coeffs, self.coeffs).real)
@@ -115,27 +122,13 @@ class _ChainWalker:
 
 
 def _seeded_scan(state: EigenState, kind: str, error: float, points: int,
-                 density_power: int, seed: float | None) -> OutcomeDistribution:
-    """Outcome scan with a self-sizing window.
-
-    The window spans 10x the expected uncertainty, seeded from the state's
-    position variance (and the previous step's uncertainty when available);
-    if the measured uncertainty disagrees with the window by more than 15%
-    the scan runs once more at the corrected span.
-    """
+                 seed: float | None) -> OutcomeDistribution:
+    """Outcome scan of `state` on a self-sizing window centered on its mean."""
     mean, var = position_moments(state)
-    guess = float(np.sqrt(error**2 + 2.0 * max(var, 0.0)))
-    if seed is not None:
-        guess = max(guess, seed)
-    halfwidth = 10.0 * guess
-    dist = outcome_distribution(state, error, kind=kind, points=points,
-                                halfwidth=halfwidth, center=mean,
-                                density_power=density_power)
-    if abs(10.0 * dist.delta_a_eff - halfwidth) > 0.15 * halfwidth:
-        dist = outcome_distribution(state, error, kind=kind, points=points,
-                                    halfwidth=10.0 * dist.delta_a_eff, center=mean,
-                                    density_power=density_power)
-    return dist
+    return _self_sizing_scan(
+        lambda hw: outcome_distribution(state, error, kind=kind, points=points,
+                                        halfwidth=hw, center=mean),
+        error, var, seed)
 
 
 @dataclass(frozen=True)
@@ -149,21 +142,25 @@ class ChainRecord:
 
 
 def uncertainty_evolution(plan: StroboscopicPlan, state: EigenState, points: int = 801,
-                          density_power: int = 2) -> list[ChainRecord]:
-    """Scan every measurement of the plan in sequence.
+                          scan_at: set[int] | None = None) -> list[ChainRecord]:
+    """Scan the measurements of the plan in sequence.
 
     The record for n holds the effective uncertainty and peak of the n-th
     outcome distribution given results 1..n-1 imposed, plus the squared norm
-    of the unnormalized conditioned state entering the scan.
+    of the unnormalized conditioned state entering the scan. `scan_at`
+    restricts which measurements are scanned (all by default); each scan's
+    window is seeded from the previous scan's uncertainty.
     """
     walker = _ChainWalker(plan, state)
     records = []
     seed = None
     for n in range(1, plan.measurements + 1):
-        dist = _seeded_scan(walker.state().normalized(), plan.filter_kind, plan.error,
-                            points, density_power, seed)
-        records.append(ChainRecord(n, dist.delta_a_eff, dist.a_tilde, walker.norm_squared))
-        seed = dist.delta_a_eff
+        if scan_at is None or n in scan_at:
+            dist = _seeded_scan(walker.state().normalized(), plan.filter_kind, plan.error,
+                                points, seed)
+            records.append(ChainRecord(n, dist.delta_a_eff, dist.a_tilde,
+                                       walker.norm_squared))
+            seed = dist.delta_a_eff
         if n < plan.measurements:
             walker.impose_and_advance(n)
     return records
@@ -175,26 +172,15 @@ def apply_chain(plan: StroboscopicPlan, state: EigenState, final_a: float) -> Ei
     Imposes results 1..N-1 with free evolution in between, then applies the
     N-th filter at final_a (no evolution afterwards).
     """
-    walker = _ChainWalker(plan, state)
-    for n in range(1, plan.measurements):
-        walker.impose_and_advance(n)
-    coeffs = walker.weight(float(final_a)) @ walker.coeffs
-    return EigenState(walker.basis, coeffs)
+    walker = _ChainWalker(plan, state).impose_all()
+    return EigenState(walker.basis, walker.weight(float(final_a)) @ walker.coeffs)
 
 
-def _prefix_walker(plan: StroboscopicPlan, state: EigenState) -> _ChainWalker:
-    walker = _ChainWalker(plan, state)
-    for n in range(1, plan.measurements):
-        walker.impose_and_advance(n)
-    return walker
-
-
-def nth_outcome_distribution(plan: StroboscopicPlan, state: EigenState, points: int = 801,
-                             density_power: int = 2) -> OutcomeDistribution:
+def nth_outcome_distribution(plan: StroboscopicPlan, state: EigenState,
+                             points: int = 801) -> OutcomeDistribution:
     """Outcome distribution of the final (N-th) measurement of the plan."""
-    walker = _prefix_walker(plan, state)
-    return _seeded_scan(walker.state().normalized(), plan.filter_kind, plan.error,
-                        points, density_power, None)
+    return _seeded_scan(_ChainWalker(plan, state).impose_all().state().normalized(),
+                        plan.filter_kind, plan.error, points, None)
 
 
 @dataclass(frozen=True)
@@ -208,8 +194,8 @@ class AsymptoticResult:
     reference: float
 
 
-def asymptotic_uncertainty(plan: StroboscopicPlan, state: EigenState, points: int = 801,
-                           density_power: int = 2) -> AsymptoticResult:
+def asymptotic_uncertainty(plan: StroboscopicPlan, state: EigenState,
+                           points: int = 801) -> AsymptoticResult:
     """Uncertainty of the last measurement, scanning only n = N-2 and n = N.
 
     Intermediate measurements are imposed without scanning, so a length-N
@@ -217,21 +203,11 @@ def asymptotic_uncertainty(plan: StroboscopicPlan, state: EigenState, points: in
     1% relative; same-parity steps are compared so period-two orbits of the
     width (possible at quarter-period intervals) still count as stabilized.
     """
-    walker = _ChainWalker(plan, state)
-    reference = float("nan")
-    for n in range(1, plan.measurements + 1):
-        if n == plan.measurements - 2 and plan.measurements >= 3:
-            ref_dist = _seeded_scan(walker.state().normalized(), plan.filter_kind,
-                                    plan.error, points, density_power, None)
-            reference = ref_dist.delta_a_eff
-        if n < plan.measurements:
-            walker.impose_and_advance(n)
-    dist = _seeded_scan(walker.state().normalized(), plan.filter_kind, plan.error,
-                        points, density_power,
-                        reference if np.isfinite(reference) else None)
-    stabilized = bool(np.isfinite(reference)
-                      and abs(dist.delta_a_eff - reference) <= 0.01 * dist.delta_a_eff)
-    return AsymptoticResult(dist.delta_a_eff, dist.a_tilde, walker.norm_squared,
+    N = plan.measurements
+    *head, last = uncertainty_evolution(plan, state, points, scan_at={N - 2, N})
+    reference = head[0].delta_a_eff if head else float("nan")
+    stabilized = bool(head and abs(last.delta_a_eff - reference) <= 0.01 * last.delta_a_eff)
+    return AsymptoticResult(last.delta_a_eff, last.a_tilde, last.norm_squared,
                             stabilized, reference)
 
 
@@ -275,7 +251,6 @@ def sweep_quiescent_time(
     results: str | tuple = "constant",
     result_value: float = 0.0,
     points: int = 801,
-    density_power: int = 2,
 ) -> UncertaintyCurve:
     """Asymptotic uncertainty over a grid of quiescent intervals."""
     intervals = np.asarray(intervals, dtype=float)
@@ -286,7 +261,7 @@ def sweep_quiescent_time(
     for i, dt in enumerate(intervals):
         plan = StroboscopicPlan(float(dt), measurements, filter_kind, error,
                                 results, result_value)
-        res = asymptotic_uncertainty(plan, state, points, density_power)
+        res = asymptotic_uncertainty(plan, state, points)
         values[i] = res.delta_a_eff
         a_tildes[i] = res.a_tilde
         norms[i] = res.norm_squared

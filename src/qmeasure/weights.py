@@ -75,6 +75,13 @@ class WeightMatrix:
     quad_error: float = 0.0
 
 
+def quadrature_nodes(length: float, budget: int = 800) -> int:
+    """Gauss-Legendre node count for a window of the given length."""
+    # 16 nodes per unit length keeps several nodes per oscillation of the
+    # highest retained level
+    return int(min(budget, max(64, 16.0 * length + 48)))
+
+
 def _window(spec: WeightSpec, limit: float, budget: int) -> tuple[float, float, int] | None:
     """The filter's support window clipped to the basis domain, with the
     node count of its base rule (None when the window is empty)."""
@@ -83,9 +90,7 @@ def _window(spec: WeightSpec, limit: float, budget: int) -> tuple[float, float, 
     hi = min(limit, spec.center + half)
     if hi <= lo:
         return None
-    # node budget follows the window length; 16 nodes per unit length keeps
-    # several nodes per oscillation of the highest retained level
-    return lo, hi, int(min(budget, max(64, 16.0 * (hi - lo) + 48)))
+    return lo, hi, quadrature_nodes(hi - lo, budget)
 
 
 def weight_matrix(

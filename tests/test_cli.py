@@ -78,6 +78,20 @@ def test_distribution_prints_summary(tmp_path, capsys):
     assert (tmp_path / "out" / "distribution.csv").exists()
 
 
+def test_distribution_step_filter_runs_on_engine_c(tmp_path):
+    code = main(["distribution", "--filter", "step", "--out", str(tmp_path), "--formats", "csv"])
+    assert code == 0
+    rows = (tmp_path / "distribution.csv").read_text().splitlines()[1:]
+    assert rows and all(row.startswith("C,step,") for row in rows)
+
+
+def test_distribution_needs_engine_c(tmp_path, capsys):
+    assert main(["distribution", "--engines", "A", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "engine C" in err
+    assert not (tmp_path / "distribution.csv").exists()
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "engines": ["C"],

@@ -91,24 +91,10 @@ def test_from_norms_off_grid_peak():
     assert dist.a_tilde == pytest.approx(1.017, abs=2e-3)
 
 
-def test_from_norms_fourth_power():
-    a = np.linspace(-8.0, 8.0, 1601)
-    norms = np.exp(-(a**2) / 2.0)
-    dist = OutcomeDistribution.from_norms(a, norms, "gaussian", 1.0, density_power=4)
-    # squaring the density halves the variance: delta = sqrt(2 * 1/2) = 1
-    assert dist.delta_a_eff == pytest.approx(1.0, rel=1e-6)
-
-
 def test_from_norms_rejects_uncovered_density():
     a = np.linspace(-1.0, 1.0, 101)
     with pytest.raises(GridCoverageError):
         OutcomeDistribution.from_norms(a, np.ones_like(a), "gaussian", 1.0)
-
-
-def test_from_norms_rejects_power():
-    a = np.linspace(-6.0, 6.0, 301)
-    with pytest.raises(ValueError):
-        OutcomeDistribution.from_norms(a, np.exp(-(a**2)), "gaussian", 1.0, density_power=3)
 
 
 def test_scan_respects_explicit_window(packet):

@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from qmeasure import (
     ConfigError,
     ExperimentConfig,
+    StroboscopicPlan,
     TruncationError,
+    asymptotic_uncertainty,
     config_from_mapping,
     config_hash,
     cross_validate,
@@ -71,6 +74,17 @@ def test_step_filter_engine_restrictions():
     for engine in ("A", "B"):
         with pytest.raises(ConfigError):
             config_from_mapping({"engines": [engine], "filter": {"kind": "step"}})
+
+
+@pytest.mark.parametrize("mapping, section", [
+    ({"units": {"mass": -1.0}}, "units"),
+    ({"plan": {"interval_over_period": 0.0}}, "plan"),
+    ({"filter": {"error": 0.0}}, "filter"),
+    ({"numerics": {"lattice": {"points": 4}}}, "numerics.lattice"),
+])
+def test_object_errors_name_their_section(mapping, section):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(section)}: "):
+        config_from_mapping(mapping)
 
 
 def test_results_sequence_length():
@@ -176,6 +190,27 @@ def test_sweep_records(tmp_path):
     # the half-period point is the quiet one
     assert records[1].delta_a_eff < records[0].delta_a_eff
     assert records[1].delta_a_eff < records[2].delta_a_eff
+
+
+def test_sweep_every_engine(tmp_path, packet):
+    cfg = config_from_mapping({
+        "engines": ["A", "B", "C"],
+        "plan": {"measurements": 4},
+        "sweep": {"start_over_period": 0.25, "stop_over_period": 0.5, "points": 2},
+        "numerics": {"gate_steps": 50, "lattice": {"points": 1201}},
+        "output": {"directory": str(tmp_path)},
+    })
+    records = sweep(cfg)
+    assert [r.engine for r in records] == ["A", "A", "B", "B", "C", "C"]
+    assert all(r.n == 4 for r in records)
+    exact = {r.dt_over_T: r.delta_a_eff for r in records[:2]}
+    for r in records[2:]:
+        assert abs(r.delta_a_eff - exact[r.dt_over_T]) <= 0.10 * exact[r.dt_over_T]
+    # the packet fixture is the default config's initial state
+    for r in records[4:]:
+        res = asymptotic_uncertainty(StroboscopicPlan(r.dt_over_T * 2.0 * np.pi, 4), packet)
+        assert (r.delta_a_eff, r.a_tilde, r.norm) == (res.delta_a_eff, res.a_tilde,
+                                                      res.norm_squared)
 
 
 def test_distribution_emission(tmp_path):

@@ -83,6 +83,15 @@ def test_apply_chain_consistency(packet):
     assert np.allclose(dist.density[idx], manual * scale, rtol=1e-8)
 
 
+def test_scan_subset(packet):
+    plan = StroboscopicPlan(T / 2.0, 3)
+    full = uncertainty_evolution(plan, packet)
+    recs = uncertainty_evolution(plan, packet, scan_at={1, 3})
+    assert [r.n for r in recs] == [1, 3]
+    assert recs[0] == full[0]
+    assert recs[1].norm_squared == full[2].norm_squared
+
+
 def test_asymptotic_matches_full_chain(packet):
     plan = StroboscopicPlan(T / 2.0, 12)
     full = uncertainty_evolution(plan, packet)
