@@ -16,11 +16,11 @@ from .collapse import GridCoverageError
 from .harness import (
     ConfigError,
     TruncationError,
+    _read_config,
     cross_validate,
     distribution,
     emit,
     emit_distribution,
-    load_config,
     run,
     sweep,
     validate_config,
@@ -94,7 +94,7 @@ def _summarize(records) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = _apply_overrides(_read_config(args.config), args)
     except (ConfigError, StepFilterUnsupportedError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,15 @@ squared norm of the collapsed state; its effective width
 
 with a_tilde the density's peak, measures how much the apparatus error da
 is diluted by the quantum spread of the state.
+
+An outcome scan evaluates w_a psi for every outcome a of a grid. For the
+Gaussian filter all outcomes share one quadrature grid: panels as wide as a
+filter window, each with the same Gauss-Legendre rule, tile the live
+windows, the eigenfunctions are evaluated once on their nodes, and the
+outcomes whose windows start in the same panel are reduced by one real
+matrix product over that panel and the next. The step filter's integrand
+jumps at each outcome's own window edges, so every step outcome keeps a
+rule of its own on its window.
 """
 
 from __future__ import annotations
@@ -17,7 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oscillator import EigenState, domain_halfwidth, eigenfunction_matrix, position_moments
+from .oscillator import (
+    EigenState,
+    _legendre_rule,
+    domain_halfwidth,
+    eigenfunction_matrix,
+    position_moments,
+)
 from .weights import WeightMatrix, WeightSpec, quadrature_nodes, weight_matrix
 
 
@@ -36,33 +51,79 @@ def outcome_amplitudes(state: EigenState, kind: str, error: float, outcomes: np.
     """Collapsed-state coefficients for every outcome on a grid.
 
     Returns the (n_outcomes, n_max) matrix whose row i holds the eigenbasis
-    coefficients of w_{a_i} * psi. Each outcome integrates over its own
-    support window, so the rule resolves arbitrarily narrow filters and the
-    step filter's integrand stays smooth on its panel.
+    coefficients of w_{a_i} * psi; outcomes may come in any order, and rows
+    whose window lies wholly outside the basis domain are exactly zero.
+    Each outcome integrates over its own support window clipped to the
+    domain: the Gaussian filter on the scan's shared panel grid, the step
+    filter on a rule of its own, so its integrand stays smooth on its panel.
     """
     basis = state.basis
     spec0 = WeightSpec(kind, 0.0, error)  # validates kind/error
     half = spec0.window_halfwidth()
     limit = domain_halfwidth(basis)
     outcomes = np.asarray(outcomes, dtype=float)
-
-    base_x, base_w = np.polynomial.legendre.leggauss(quadrature_nodes(2.0 * half))
+    base_x, base_w = _legendre_rule(quadrature_nodes(2.0 * half))
     lo = np.clip(outcomes - half, -limit, limit)
     hi = np.clip(outcomes + half, -limit, limit)
+    if kind == "gaussian":
+        return _gaussian_amplitudes(state, error, outcomes, lo, hi, 2.0 * half, base_x, base_w)
+
     span = hi - lo
     live = span > 0
-
     # map the reference rule into every live window (rows of zeros elsewhere)
     xs = 0.5 * span[:, None] * base_x[None, :] + 0.5 * (hi + lo)[:, None]
     ws = 0.5 * span[:, None] * base_w[None, :]
     u = eigenfunction_matrix(basis, xs)                      # (n_max, n_a, n_nodes)
     psi = np.einsum("l,lak->ak", state.coefficients, u)
-    if kind == "gaussian":
-        f = np.exp(-((xs - outcomes[:, None]) ** 2) / (2.0 * error**2))
-    else:
-        f = np.ones_like(xs)
-    amps = np.einsum("lak,ak->al", u, ws * f * psi)
+    amps = np.einsum("lak,ak->al", u, ws * psi)
     amps[~live] = 0.0
+    return amps
+
+
+def _gaussian_amplitudes(state: EigenState, error: float, outcomes: np.ndarray,
+                         lo: np.ndarray, hi: np.ndarray, width: float,
+                         base_x: np.ndarray, base_w: np.ndarray) -> np.ndarray:
+    """Gaussian-filter amplitudes on one shared grid of panels.
+
+    Panels of the window width tile the span of the live windows [lo, hi],
+    each carrying the reference rule, so a window covers at most its first
+    panel k and panel k + 1; only panels some window touches get nodes. The
+    eigenfunctions are evaluated once, the real and imaginary parts of
+    g = u w psi are stacked into one real (2 n_max, nodes) array, and the
+    outcomes whose window starts in panel k are reduced by one matrix
+    product of their filter profiles, cut to the window, with g on panels
+    k and k + 1.
+    """
+    n_max = state.basis.n_max
+    amps = np.zeros((outcomes.size, n_max), dtype=complex)
+    rows = np.flatnonzero(hi > lo)
+    if rows.size == 0:
+        return amps
+    start, stop = float(lo[rows].min()), float(hi[rows].max())
+    count = max(1, int(np.ceil((stop - start) / width)))
+    first = np.clip(np.floor((lo[rows] - start) / width).astype(int), 0, count - 1)
+    panels = np.unique(np.concatenate([first, np.minimum(first + 1, count - 1)]))
+
+    left = start + width * panels
+    right = np.minimum(left + width, stop)
+    x = (0.5 * (right - left)[:, None] * base_x + 0.5 * (right + left)[:, None]).ravel()
+    w = (0.5 * (right - left)[:, None] * base_w).ravel()
+    u = eigenfunction_matrix(state.basis, x)                 # (n_max, n_nodes)
+    c = state.coefficients
+    g = np.empty((2 * n_max, x.size))
+    np.multiply(u, w * (c.real @ u), out=g[:n_max])
+    np.multiply(u, w * (c.imag @ u), out=g[n_max:])
+
+    nodes = base_x.size
+    slot = np.searchsorted(panels, first)
+    for j in np.unique(slot):
+        group = rows[slot == j]
+        band = slice(j * nodes, min(j + 2, panels.size) * nodes)
+        xb = x[band]
+        f = np.exp(-((xb[None, :] - outcomes[group, None]) ** 2) / (2.0 * error**2))
+        f[(xb < lo[group, None]) | (xb > hi[group, None])] = 0.0
+        r = f @ g[:, band].T
+        amps[group] = r[:, :n_max] + 1j * r[:, n_max:]
     return amps
 
 
@@ -109,9 +170,12 @@ class OutcomeDistribution:
 def _refine_peak(outcomes: np.ndarray, density: np.ndarray) -> float:
     """Sub-grid peak location by a parabola through the top three samples.
 
-    argmax ties break toward the smaller outcome (first maximum).
+    Ties break toward the smaller outcome (first maximum): samples within
+    1e-12 of the maximum, relative, count as tied, so a symmetric density
+    does not pick its peak by round-off.
     """
-    i = int(np.argmax(density))
+    peak = float(np.max(density))
+    i = int(np.argmax(density >= peak - 1e-12 * abs(peak)))
     if i == 0 or i == len(outcomes) - 1:
         return float(outcomes[i])
     curv = density[i - 1] - 2.0 * density[i] + density[i + 1]

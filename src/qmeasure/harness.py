@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -120,6 +121,9 @@ class ExperimentConfig:
 
 
 def _coerce_scalar(raw, default, where: str):
+    # Python's json reads NaN and Infinity, which pass every range check
+    if isinstance(default, (int, float)) and isinstance(raw, float) and not math.isfinite(raw):
+        raise ConfigError(f"{where}: expected a finite number")
     if isinstance(default, int):
         if isinstance(raw, bool) or not isinstance(raw, (int, float)) or int(raw) != raw:
             raise ConfigError(f"{where}: expected an integer")
@@ -162,6 +166,8 @@ def _build(cls, data, path: str = ""):
                     kwargs[key] = tuple(float(v) for v in raw)
                 except (TypeError, ValueError):
                     raise ConfigError(f"{where}: expected numbers") from None
+                if not all(math.isfinite(v) for v in kwargs[key]):
+                    raise ConfigError(f"{where}: expected finite numbers")
             else:
                 raise ConfigError(f"{where}: expected a policy name or a list of outcomes")
         elif key in ("engines", "formats"):
@@ -178,8 +184,14 @@ def config_from_mapping(data: dict) -> "ExperimentConfig":
 
 def load_config(path=None) -> "ExperimentConfig":
     """Read a JSON configuration file; None gives the validated defaults."""
+    return validate_config(_read_config(path))
+
+
+def _read_config(path) -> "ExperimentConfig":
+    """The configuration in a JSON file (None: the defaults), type-checked
+    but not yet validated, so that command-line overrides apply first."""
     if path is None:
-        return config_from_mapping({})
+        return ExperimentConfig()
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -188,7 +200,7 @@ def load_config(path=None) -> "ExperimentConfig":
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    return config_from_mapping(data)
+    return _build(ExperimentConfig, data)
 
 
 def _section(name: str, build, *args):

@@ -14,6 +14,7 @@ sigma^2 = hbar/(m*omega).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -166,11 +167,24 @@ class Quadrature:
         return float(np.max(np.abs(self.nodes)))
 
 
+@lru_cache(maxsize=64)
+def _legendre_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
+
+    `leggauss` costs 13 ms at 304 nodes and 80 ms at 800, and the same few
+    node counts recur in every weight matrix and outcome scan.
+    """
+    x, w = np.polynomial.legendre.leggauss(points)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_legendre(lo: float, hi: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped to [lo, hi]."""
     if hi <= lo:
         raise ValueError("empty integration interval")
-    x, w = np.polynomial.legendre.leggauss(int(points))
+    x, w = _legendre_rule(int(points))
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 

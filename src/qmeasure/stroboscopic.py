@@ -84,7 +84,7 @@ def _check_norm(norm_squared: float, n: int):
 
 
 class _ChainWalker:
-    """Shared bookkeeping: coefficient vector, phase factors, weight cache."""
+    """Shared bookkeeping: coefficient vector and phase factors."""
 
     def __init__(self, plan: StroboscopicPlan, state: EigenState):
         self.plan = plan
@@ -92,14 +92,10 @@ class _ChainWalker:
         self.coeffs = state.normalized().coefficients.copy()
         self.phases = free_phase_factors(state.basis, plan.interval)
         self.imposed = plan.imposed_results()
-        self._matrices: dict[float, np.ndarray] = {}
 
     def weight(self, a: float) -> np.ndarray:
-        key = float(a)
-        if key not in self._matrices:
-            spec = WeightSpec(self.plan.filter_kind, center=key, error=self.plan.error)
-            self._matrices[key] = weight_matrix(self.basis, spec).matrix
-        return self._matrices[key]
+        spec = WeightSpec(self.plan.filter_kind, center=float(a), error=self.plan.error)
+        return weight_matrix(self.basis, spec).matrix
 
     def impose_and_advance(self, n: int):
         """Apply the imposed result of measurement n, then one free interval."""

@@ -11,6 +11,7 @@ spectrum lies in [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,11 +107,22 @@ def weight_matrix(
     step filter to a panel on which its integrand is smooth. The base rule
     has at most `points` nodes; its quadrature error is estimated against a
     rule with 1.4 times as many nodes, and estimates above `tolerance` raise
-    QuadratureError.
+    QuadratureError. Matrices are memoized per (basis, spec, points,
+    tolerance) and returned read-only.
     """
+    return _weight_matrix(basis, spec, int(points), float(tolerance))
+
+
+@lru_cache(maxsize=256)
+def _weight_matrix(basis: OscillatorBasis, spec: WeightSpec, points: int,
+                   tolerance: float) -> WeightMatrix:
+    # a chain imposes the same filter at every step, and a sweep rebuilds
+    # the same chain at every grid point
     window = _window(spec, domain_halfwidth(basis), points)
     if window is None:
-        return WeightMatrix(basis, spec, np.zeros((basis.n_max, basis.n_max)))
+        m = np.zeros((basis.n_max, basis.n_max))
+        m.setflags(write=False)
+        return WeightMatrix(basis, spec, m)
     lo, hi, nodes = window
 
     def build(count: int) -> np.ndarray:
@@ -126,4 +138,5 @@ def weight_matrix(
             f"weight matrix quadrature error {err:.3e} exceeds {tolerance:.1e}; "
             "raise the node budget"
         )
+    m.setflags(write=False)
     return WeightMatrix(basis, spec, m, err)

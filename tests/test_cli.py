@@ -85,6 +85,32 @@ def test_distribution_step_filter_runs_on_engine_c(tmp_path):
     assert rows and all(row.startswith("C,step,") for row in rows)
 
 
+def test_distribution_step_filter_from_config_file(tmp_path):
+    # the default engines narrow to C before the file's step filter is checked
+    cfg = _write_config(tmp_path, {
+        "filter": {"kind": "step"},
+        "plan": {"measurements": 2},
+        "output": {"directory": str(tmp_path / "out"), "formats": ["csv"]},
+    })
+    assert main(["distribution", "--config", cfg]) == 0
+    rows = (tmp_path / "out" / "distribution.csv").read_text().splitlines()[1:]
+    assert rows and all(row.startswith("C,step,") for row in rows)
+
+
+@pytest.mark.parametrize("mapping", [
+    {"plan": {"interval_over_period": float("nan")}},
+    {"units": {"mass": float("inf")}},
+    {"state": {"width": float("-inf")}},
+    {"plan": {"measurements": float("nan")}},
+    {"plan": {"measurements": 3, "results": [0.0, float("inf")]}},
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, mapping):
+    cfg = _write_config(tmp_path, {"engines": ["A"], **mapping})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_distribution_needs_engine_c(tmp_path, capsys):
     assert main(["distribution", "--engines", "A", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -14,6 +14,8 @@ from qmeasure import (
     project_gaussian,
     weight_matrix,
 )
+from qmeasure.oscillator import domain_halfwidth, eigenfunction_matrix
+from qmeasure.weights import quadrature_nodes
 
 SQRT26 = 5.0990195135927845
 
@@ -35,6 +37,74 @@ def test_outcome_amplitudes_match_matrix_path(basis, packet):
         for i, a in enumerate(outcomes):
             w = weight_matrix(basis, WeightSpec(kind, center=float(a))).matrix
             assert np.allclose(amps[i], w @ packet.coefficients, atol=1e-9)
+
+
+def _random_state(basis, rng):
+    c = rng.normal(size=basis.n_max) + 1j * rng.normal(size=basis.n_max)
+    return EigenState(basis, c / np.linalg.norm(c))
+
+
+@pytest.mark.parametrize("error", [0.05, 1.0, 3.0])
+def test_banded_scan_matches_matrix_path(basis, rng, error):
+    """Random states, with windows inside, across and wholly outside the
+    domain edge, against per-outcome weight matrices."""
+    limit, half = domain_halfwidth(basis), 8.0 * error
+    outcomes = np.concatenate([
+        rng.uniform(-limit, limit, 6),
+        [limit - 0.5 * half, -limit + 0.25 * half, limit + 0.5 * half],
+        [limit + 2.0 * half, -limit - 1.5 * half],
+    ])
+    for _ in range(2):
+        state = _random_state(basis, rng)
+        amps = outcome_amplitudes(state, "gaussian", error, outcomes)
+        direct = np.array([weight_matrix(basis, WeightSpec("gaussian", float(a), error)).matrix
+                           @ state.coefficients for a in outcomes])
+        scale = np.max(np.abs(direct))
+        assert np.max(np.abs(amps - direct)) <= 1e-12 * scale
+
+
+def test_shuffled_outcomes_permute_rows(basis, rng):
+    state = _random_state(basis, rng)
+    outcomes = np.linspace(-30.0, 30.0, 121)
+    perm = rng.permutation(outcomes.size)
+    amps = outcome_amplitudes(state, "gaussian", 0.7, outcomes)
+    shuffled = outcome_amplitudes(state, "gaussian", 0.7, outcomes[perm])
+    assert np.allclose(shuffled, amps[perm], rtol=0.0, atol=1e-14 * np.max(np.abs(amps)))
+
+
+def test_rows_outside_domain_are_zero(basis, packet):
+    limit = domain_halfwidth(basis)
+    outside = np.array([-limit - 8.5, limit + 9.0, limit + 100.0])
+    amps = outcome_amplitudes(packet, "gaussian", 1.0, np.concatenate([outside, [0.0]]))
+    assert np.all(amps[:3] == 0.0)
+    assert np.any(amps[3] != 0.0)
+    for kind in ("gaussian", "step"):
+        assert np.all(outcome_amplitudes(packet, kind, 1.0, outside) == 0.0)
+
+
+def _step_amplitudes_reference(state, error, outcomes):
+    """The per-outcome window rule the step filter keeps."""
+    half = error
+    limit = domain_halfwidth(state.basis)
+    base_x, base_w = np.polynomial.legendre.leggauss(quadrature_nodes(2.0 * half))
+    lo = np.clip(outcomes - half, -limit, limit)
+    hi = np.clip(outcomes + half, -limit, limit)
+    span = hi - lo
+    xs = 0.5 * span[:, None] * base_x[None, :] + 0.5 * (hi + lo)[:, None]
+    ws = 0.5 * span[:, None] * base_w[None, :]
+    u = eigenfunction_matrix(state.basis, xs)
+    psi = np.einsum("l,lak->ak", state.coefficients, u)
+    amps = np.einsum("lak,ak->al", u, ws * np.ones_like(xs) * psi)
+    amps[~(span > 0)] = 0.0
+    return amps
+
+
+def test_step_amplitudes_unchanged(basis, rng):
+    state = _random_state(basis, rng)
+    outcomes = np.linspace(-30.0, 30.0, 81)
+    for error in (0.3, 1.0):
+        got = outcome_amplitudes(state, "step", error, outcomes)
+        assert np.array_equal(got, _step_amplitudes_reference(state, error, outcomes))
 
 
 def test_single_measurement_uncertainty(packet):
@@ -89,6 +159,18 @@ def test_from_norms_off_grid_peak():
     norms = np.exp(-((a - 1.017) ** 2) / 2.0)
     dist = OutcomeDistribution.from_norms(a, norms, "gaussian", 1.0)
     assert dist.a_tilde == pytest.approx(1.017, abs=2e-3)
+
+
+def test_near_tied_peaks_pick_the_first():
+    """A symmetric bimodal density whose right peak exceeds the left by one
+    ulp still reports the left peak."""
+    a = np.linspace(-1.0, 1.0, 201)
+    norms = np.exp(-((a - 0.5) ** 2) / 0.01) + np.exp(-((a + 0.5) ** 2) / 0.01)
+    right = int(np.argmin(np.abs(a - 0.5)))
+    left = int(np.argmin(np.abs(a + 0.5)))
+    norms[right] = np.nextafter(norms[left], np.inf)
+    dist = OutcomeDistribution.from_norms(a, norms, "gaussian", 1.0)
+    assert dist.a_tilde == pytest.approx(-0.5, abs=1e-6)
 
 
 def test_from_norms_rejects_uncovered_density():

@@ -9,6 +9,7 @@ from qmeasure import (
     measurement_coupling,
     weight_matrix,
 )
+from qmeasure.oscillator import _legendre_rule
 
 # closed forms for the centered unit-error filters in the default units:
 #   gaussian <0|w|0> = 1/sqrt(2)        <1|w|1> = 1/(2 sqrt(2))
@@ -112,3 +113,23 @@ def test_norm_contraction(basis, rng):
 def test_unconverged_quadrature_raises(basis):
     with pytest.raises(QuadratureError):
         weight_matrix(basis, WeightSpec("gaussian", error=0.3), points=40, tolerance=1e-14)
+
+
+def test_quadrature_error_raises_on_every_call(basis):
+    # failures are not memoized
+    for _ in range(2):
+        with pytest.raises(QuadratureError):
+            weight_matrix(basis, WeightSpec("gaussian", error=0.3), points=40, tolerance=1e-14)
+
+
+def test_cached_rules_and_matrices_are_read_only(basis):
+    spec = WeightSpec("gaussian", center=0.3)
+    wm = weight_matrix(basis, spec)
+    assert weight_matrix(basis, spec, 800, 1e-8) is wm
+    assert not wm.matrix.flags.writeable
+    empty = weight_matrix(basis, WeightSpec("step", center=1e3))
+    assert not empty.matrix.flags.writeable and not empty.matrix.any()
+    for array in _legendre_rule(304):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
