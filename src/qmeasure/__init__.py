@@ -16,7 +16,6 @@ from .collapse import (
 )
 from .gaussian_analytic import (
     GaussianPacket,
-    WidthRecord,
     critical_time,
     evolve_free,
     evolve_measured,

@@ -33,18 +33,16 @@ from .oscillator import (
     eigenfunction_matrix,
     position_moments,
 )
-from .weights import WeightMatrix, WeightSpec, quadrature_nodes, weight_matrix
+from .weights import WeightSpec, quadrature_nodes, weight_matrix
 
 
 class GridCoverageError(RuntimeError):
     """Raised when an outcome grid leaves visible probability at its edges."""
 
 
-def apply_impulsive(state: EigenState, spec: WeightSpec, wm: WeightMatrix | None = None) -> EigenState:
+def apply_impulsive(state: EigenState, spec: WeightSpec) -> EigenState:
     """Collapse rule psi -> w_a psi in the truncated basis (not renormalized)."""
-    if wm is None:
-        wm = weight_matrix(state.basis, spec)
-    return EigenState(state.basis, wm.matrix @ state.coefficients)
+    return EigenState(state.basis, weight_matrix(state.basis, spec).matrix @ state.coefficients)
 
 
 def outcome_amplitudes(state: EigenState, kind: str, error: float, outcomes: np.ndarray) -> np.ndarray:

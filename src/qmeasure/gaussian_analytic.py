@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .stroboscopic import StroboscopicPlan
+from .stroboscopic import ChainRecord, StroboscopicPlan, _scan_chain
 from .weights import measurement_coupling
 
 
@@ -159,18 +159,6 @@ def evolve_measured(packet: GaussianPacket, duration: float, error: float, mass:
     return _propagate(packet, w, shift, offset, duration, mass, hbar)
 
 
-@dataclass(frozen=True)
-class WidthRecord:
-    """Packet state entering the n-th stroboscopic measurement."""
-
-    n: int
-    width: float
-    center: float
-    delta_a_eff: float
-    norm_squared: float
-    stabilized: bool
-
-
 def stroboscopic_widths(
     width: float,
     interval: float,
@@ -183,32 +171,23 @@ def stroboscopic_widths(
     center: float = 0.0,
     results: str | Sequence[float] = "constant",
     result_value: float = 0.0,
-) -> list[WidthRecord]:
-    """Widths and effective uncertainties along a stroboscopic sequence.
+) -> list[ChainRecord]:
+    """Effective uncertainties along a stroboscopic sequence.
 
     Measurement n happens at t = (n-1)*interval; the record for n describes
     the packet just before that measurement, whose outcome therefore scatters
-    with delta_a_eff = sqrt(error^2 + width_n^2). Measurements 1..N-1 are
-    then imposed with the given results and the packet evolved onward.
-    The `stabilized` flag marks a relative width change below 1e-3.
+    with delta_a_eff = sqrt(error^2 + width_n^2) around the packet center
+    (a_tilde); norm_squared is the packet's. Measurements 1..N-1 are then
+    imposed with the given results and the packet evolved onward.
     """
     if gate_duration <= 0:
         raise ValueError("gate_duration must be positive")
-    imposed = StroboscopicPlan(interval, measurements, "gaussian", error, results,
-                               result_value).imposed_results()
-    packet = GaussianPacket.from_width(width, center=center)
-    records = []
-    prev_width = None
-    for n in range(1, measurements + 1):
-        w_n = packet.width
-        stab = prev_width is not None and abs(w_n - prev_width) < 1e-3 * prev_width
-        records.append(
-            WidthRecord(n, w_n, packet.center, impulsive_uncertainty(w_n, error),
-                        packet.norm_squared, stab)
-        )
-        prev_width = w_n
-        if n < measurements:
-            packet = evolve_measured(packet, gate_duration, error, mass, omega, hbar,
-                                     center=float(imposed[n - 1]))
-            packet = evolve_free(packet, interval, mass, omega, hbar)
-    return records
+    plan = StroboscopicPlan(interval, measurements, "gaussian", error, results, result_value)
+
+    def advance(packet: GaussianPacket, a: float, n: int) -> GaussianPacket:
+        packet = evolve_measured(packet, gate_duration, error, mass, omega, hbar, center=a)
+        return evolve_free(packet, interval, mass, omega, hbar)
+
+    return _scan_chain(plan, GaussianPacket.from_width(width, center=center), advance,
+                       lambda p, seed: (impulsive_uncertainty(p.width, error), p.center),
+                       lambda p: p.norm_squared)

@@ -28,12 +28,7 @@ from .collapse import OutcomeDistribution
 from .gaussian_analytic import stroboscopic_widths
 from .oscillator import OscillatorBasis, basis_quadrature, project_gaussian
 from .pde import Lattice, run_stroboscopic
-from .stroboscopic import (
-    ChainRecord,
-    StroboscopicPlan,
-    nth_outcome_distribution,
-    uncertainty_evolution,
-)
+from .stroboscopic import StroboscopicPlan, nth_outcome_distribution, uncertainty_evolution
 from .weights import WeightSpec
 
 
@@ -162,12 +157,8 @@ def _build(cls, data, path: str = ""):
             if isinstance(raw, str):
                 kwargs[key] = raw
             elif isinstance(raw, (list, tuple)):
-                try:
-                    kwargs[key] = tuple(float(v) for v in raw)
-                except (TypeError, ValueError):
-                    raise ConfigError(f"{where}: expected numbers") from None
-                if not all(math.isfinite(v) for v in kwargs[key]):
-                    raise ConfigError(f"{where}: expected finite numbers")
+                kwargs[key] = tuple(_coerce_scalar(v, 0.0, f"{where}[{i}]")
+                                    for i, v in enumerate(raw))
             else:
                 raise ConfigError(f"{where}: expected a policy name or a list of outcomes")
         elif key in ("engines", "formats"):
@@ -307,11 +298,9 @@ def _engine_a(cfg, plans, final: bool) -> list:
     # the closed form is cheap: it always walks the whole chain
     u = cfg.units
     tau = cfg.numerics.gate_fraction * _period(cfg)
-    return [[ChainRecord(w.n, w.delta_a_eff, w.center, w.norm_squared)
-             for w in stroboscopic_widths(cfg.state.width, plan.interval, plan.measurements,
-                                          plan.error, tau, u.mass, u.frequency, u.hbar,
-                                          center=cfg.state.center, results=plan.results,
-                                          result_value=plan.result_value)]
+    return [stroboscopic_widths(cfg.state.width, plan.interval, plan.measurements, plan.error,
+                                tau, u.mass, u.frequency, u.hbar, center=cfg.state.center,
+                                results=plan.results, result_value=plan.result_value)
             for plan in plans]
 
 

@@ -162,10 +162,6 @@ class Quadrature:
     nodes: np.ndarray
     weights: np.ndarray
 
-    @property
-    def halfwidth(self) -> float:
-        return float(np.max(np.abs(self.nodes)))
-
 
 @lru_cache(maxsize=64)
 def _legendre_rule(points: int) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .collapse import OutcomeDistribution, _self_sizing_scan
-from .stroboscopic import ChainRecord, StroboscopicPlan
+from .stroboscopic import ChainRecord, StroboscopicPlan, _scan_chain
 from .weights import measurement_coupling
 
 
@@ -215,29 +215,22 @@ def run_stroboscopic(
     if time_step is None:
         time_step = 0.000625 / omega if omega > 0 else 0.000625
     kappa = measurement_coupling(plan.error, gate_duration)
-    imposed = plan.imposed_results()
-
     wavefn = sample_gaussian(lattice, width, center)
+    _leak_check(wavefn, "before measurement 1")
     free_op = effective_hamiltonian(lattice, mass, omega, hbar)
     free_steps = max(1, int(np.ceil(plan.interval / time_step)))
     free_dt = plan.interval / free_steps
 
-    records = []
-    norm_ref = 1.0
-    seed = None
-    for n in range(1, plan.measurements + 1):
-        _leak_check(wavefn, f"before measurement {n}")
-        if scan_at is None or n in scan_at:
-            dist = _scan(wavefn.normalized(), plan.error, gate_duration, gate_steps,
-                         outcome_points, mass, omega, hbar, seed)
-            records.append(ChainRecord(n, dist.delta_a_eff, dist.a_tilde, norm_ref))
-            seed = dist.delta_a_eff
-        if n < plan.measurements:
-            wavefn = _gate_evolved(wavefn, float(imposed[n - 1]), kappa, gate_duration,
-                                   gate_steps, mass, omega, hbar)
-            wavefn = GridWavefunction(
-                lattice, crank_nicolson_evolve(free_op, wavefn.values, free_dt,
-                                               free_steps, hbar))
-            norm_ref = wavefn.norm_squared()
-            _leak_check(wavefn, f"after interval {n}")
-    return records
+    def advance(wavefn: GridWavefunction, a: float, n: int) -> GridWavefunction:
+        wavefn = _gate_evolved(wavefn, a, kappa, gate_duration, gate_steps, mass, omega, hbar)
+        wavefn = GridWavefunction(
+            lattice, crank_nicolson_evolve(free_op, wavefn.values, free_dt, free_steps, hbar))
+        _leak_check(wavefn, f"after interval {n}")
+        return wavefn
+
+    def scan(wavefn: GridWavefunction, seed):
+        dist = _scan(wavefn.normalized(), plan.error, gate_duration, gate_steps,
+                     outcome_points, mass, omega, hbar, seed)
+        return dist.delta_a_eff, dist.a_tilde
+
+    return _scan_chain(plan, wavefn, advance, scan, GridWavefunction.norm_squared, scan_at)

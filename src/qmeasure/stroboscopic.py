@@ -6,6 +6,11 @@ freely (diagonal phases); each imposed measurement multiplies the coefficient
 vector by the filter's matrix at the imposed outcome. Scanning the n-th
 measurement over candidate outcomes a gives the conditional distribution
 P(a), its peak, and the effective uncertainty delta_a_eff.
+
+The measure/impose/evolve sequence itself is engine-neutral: `_chain_states`
+walks it and `_scan_chain` turns it into ChainRecords, and engines A
+(Gaussian packets), B (lattice wavefunctions) and C (eigenbasis vectors)
+supply only how their state advances, how it is scanned and its norm.
 """
 
 from __future__ import annotations
@@ -76,47 +81,6 @@ def qnd_commutator(basis, dt: float) -> float:
     return float(basis.hbar / (basis.mass * basis.omega) * np.sin(basis.omega * dt))
 
 
-def _check_norm(norm_squared: float, n: int):
-    if not norm_squared > 1e-200:
-        raise ChainUnderflowError(
-            f"chain norm underflowed after imposing measurement {n}"
-        )
-
-
-class _ChainWalker:
-    """Shared bookkeeping: coefficient vector and phase factors."""
-
-    def __init__(self, plan: StroboscopicPlan, state: EigenState):
-        self.plan = plan
-        self.basis = state.basis
-        self.coeffs = state.normalized().coefficients.copy()
-        self.phases = free_phase_factors(state.basis, plan.interval)
-        self.imposed = plan.imposed_results()
-
-    def weight(self, a: float) -> np.ndarray:
-        spec = WeightSpec(self.plan.filter_kind, center=float(a), error=self.plan.error)
-        return weight_matrix(self.basis, spec).matrix
-
-    def impose_and_advance(self, n: int):
-        """Apply the imposed result of measurement n, then one free interval."""
-        self.coeffs = self.phases * (self.weight(float(self.imposed[n - 1])) @ self.coeffs)
-        _check_norm(self.norm_squared, n)
-
-    def impose_all(self) -> "_ChainWalker":
-        """Impose results 1..N-1; the walker then holds the state entering
-        the N-th measurement."""
-        for n in range(1, self.plan.measurements):
-            self.impose_and_advance(n)
-        return self
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.coeffs, self.coeffs).real)
-
-    def state(self) -> EigenState:
-        return EigenState(self.basis, self.coeffs)
-
-
 def _seeded_scan(state: EigenState, kind: str, error: float, points: int,
                  seed: float | None) -> OutcomeDistribution:
     """Outcome scan of `state` on a self-sizing window centered on its mean."""
@@ -137,6 +101,67 @@ class ChainRecord:
     norm_squared: float
 
 
+def _chain_states(plan: StroboscopicPlan, state, advance):
+    """The plan's measure/impose/evolve sequence, for any engine's states.
+
+    Yields (n, state entering measurement n) for n = 1..N; between
+    measurements n and n + 1, advance(state, a, n) imposes result a on
+    measurement n and evolves the state freely over one interval.
+    """
+    imposed = plan.imposed_results()
+    for n in range(1, plan.measurements + 1):
+        yield n, state
+        if n < plan.measurements:
+            state = advance(state, float(imposed[n - 1]), n)
+
+
+def _scan_chain(plan: StroboscopicPlan, state, advance, scan, norm,
+                scan_at: set[int] | None = None) -> list[ChainRecord]:
+    """ChainRecords of the measurements in `scan_at` (all by default).
+
+    scan(state, seed) gives the (delta_a_eff, a_tilde) of the measurement
+    `state` enters, its window seeded with the previous scan's delta_a_eff
+    (None at the first scan); norm(state) gives the record's norm_squared.
+    """
+    records, seed = [], None
+    for n, s in _chain_states(plan, state, advance):
+        if scan_at is None or n in scan_at:
+            delta_a_eff, a_tilde = scan(s, seed)
+            records.append(ChainRecord(n, delta_a_eff, a_tilde, norm(s)))
+            seed = delta_a_eff
+    return records
+
+
+def _filter(plan: StroboscopicPlan, basis, a: float) -> np.ndarray:
+    return weight_matrix(basis, WeightSpec(plan.filter_kind, center=a, error=plan.error)).matrix
+
+
+def _eigen_advance(plan: StroboscopicPlan, basis):
+    """Engine C between measurements: the filter matrix at the imposed
+    result, then the free phases of one interval."""
+    phases = free_phase_factors(basis, plan.interval)
+
+    def advance(state: EigenState, a: float, n: int) -> EigenState:
+        state = EigenState(basis, phases * (_filter(plan, basis, a) @ state.coefficients))
+        if not _norm_squared(state) > 1e-200:
+            raise ChainUnderflowError(f"chain norm underflowed after imposing measurement {n}")
+        return state
+
+    return advance
+
+
+def _norm_squared(state: EigenState) -> float:
+    return float(np.vdot(state.coefficients, state.coefficients).real)
+
+
+def _last_state(plan: StroboscopicPlan, state: EigenState) -> EigenState:
+    """Normalized `state` with results 1..N-1 imposed: the unnormalized
+    state entering the N-th measurement."""
+    for _, last in _chain_states(plan, state.normalized(), _eigen_advance(plan, state.basis)):
+        pass
+    return last
+
+
 def uncertainty_evolution(plan: StroboscopicPlan, state: EigenState, points: int = 801,
                           scan_at: set[int] | None = None) -> list[ChainRecord]:
     """Scan the measurements of the plan in sequence.
@@ -147,19 +172,12 @@ def uncertainty_evolution(plan: StroboscopicPlan, state: EigenState, points: int
     restricts which measurements are scanned (all by default); each scan's
     window is seeded from the previous scan's uncertainty.
     """
-    walker = _ChainWalker(plan, state)
-    records = []
-    seed = None
-    for n in range(1, plan.measurements + 1):
-        if scan_at is None or n in scan_at:
-            dist = _seeded_scan(walker.state().normalized(), plan.filter_kind, plan.error,
-                                points, seed)
-            records.append(ChainRecord(n, dist.delta_a_eff, dist.a_tilde,
-                                       walker.norm_squared))
-            seed = dist.delta_a_eff
-        if n < plan.measurements:
-            walker.impose_and_advance(n)
-    return records
+    def scan(s: EigenState, seed):
+        dist = _seeded_scan(s.normalized(), plan.filter_kind, plan.error, points, seed)
+        return dist.delta_a_eff, dist.a_tilde
+
+    return _scan_chain(plan, state.normalized(), _eigen_advance(plan, state.basis), scan,
+                       _norm_squared, scan_at)
 
 
 def apply_chain(plan: StroboscopicPlan, state: EigenState, final_a: float) -> EigenState:
@@ -168,15 +186,15 @@ def apply_chain(plan: StroboscopicPlan, state: EigenState, final_a: float) -> Ei
     Imposes results 1..N-1 with free evolution in between, then applies the
     N-th filter at final_a (no evolution afterwards).
     """
-    walker = _ChainWalker(plan, state).impose_all()
-    return EigenState(walker.basis, walker.weight(float(final_a)) @ walker.coeffs)
+    last = _last_state(plan, state)
+    return EigenState(state.basis, _filter(plan, state.basis, float(final_a)) @ last.coefficients)
 
 
 def nth_outcome_distribution(plan: StroboscopicPlan, state: EigenState,
                              points: int = 801) -> OutcomeDistribution:
     """Outcome distribution of the final (N-th) measurement of the plan."""
-    return _seeded_scan(_ChainWalker(plan, state).impose_all().state().normalized(),
-                        plan.filter_kind, plan.error, points, None)
+    return _seeded_scan(_last_state(plan, state).normalized(), plan.filter_kind, plan.error,
+                        points, None)
 
 
 @dataclass(frozen=True)

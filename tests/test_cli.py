@@ -111,6 +111,29 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, mapping):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("results, bad", [
+    (["0.5", 1.0], "plan.results[0]"),
+    ([0.5, True], "plan.results[1]"),
+    ([False, 0.5], "plan.results[0]"),
+    ([0.5, None], "plan.results[1]"),
+])
+def test_results_entries_must_be_numbers(tmp_path, capsys, results, bad):
+    cfg = _write_config(tmp_path, {"engines": ["A"],
+                                   "plan": {"measurements": 3, "results": results}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and bad in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_results_are_numbers(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"engines": ["A"], "plan": {"measurements": 3, "results": [1, 0]},
+                                   "output": {"formats": ["csv"]}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "out" / "run.csv").exists()
+
+
 def test_distribution_needs_engine_c(tmp_path, capsys):
     assert main(["distribution", "--engines", "A", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

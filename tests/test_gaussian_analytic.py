@@ -153,7 +153,6 @@ def test_quarter_period_chain_matches_recursion():
 def test_chain_records_shape():
     recs = stroboscopic_widths(5.0, T / 2.0, 6, 1.0, 1e-5 * T, MASS, OMEGA)
     assert [r.n for r in recs] == [1, 2, 3, 4, 5, 6]
-    assert not recs[0].stabilized
     norms = [r.norm_squared for r in recs]
     assert norms[0] == pytest.approx(1.0, abs=1e-12)
     assert all(b < a for a, b in zip(norms, norms[1:]))
@@ -168,7 +167,7 @@ def test_imposed_result_policies():
         assert a.delta_a_eff == pytest.approx(b.delta_a_eff, rel=1e-12)
     shifted = stroboscopic_widths(5.0, T / 2.0, 5, 1.0, 1e-5 * T, MASS, OMEGA,
                                   results=[1.0, 0.0, 0.0, 0.0])
-    assert shifted[1].center != pytest.approx(const[1].center, abs=1e-6)
+    assert shifted[1].a_tilde != pytest.approx(const[1].a_tilde, abs=1e-6)
     with pytest.raises(ValueError):
         stroboscopic_widths(5.0, T / 2.0, 5, 1.0, 1e-5 * T, MASS, OMEGA, results="sway")
     with pytest.raises(ValueError):

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from qmeasure import (
+    ChainRecord,
     ChainUnderflowError,
+    Lattice,
     StroboscopicPlan,
     apply_chain,
     asymptotic_uncertainty,
     nth_outcome_distribution,
     outcome_amplitudes,
     qnd_commutator,
+    run_stroboscopic,
     stroboscopic_widths,
     sweep_quiescent_time,
     uncertainty_evolution,
@@ -150,3 +153,30 @@ def test_outcome_amplitudes_reused_by_chain(basis, packet):
     norms = np.sum(np.abs(amps) ** 2, axis=1)
     dens = norms / np.trapezoid(norms, dist.outcomes)
     assert np.allclose(dens, dist.density, rtol=1e-9, atol=1e-12)
+
+
+def test_every_engine_walks_the_plan_into_chain_records(packet):
+    """Engines A, B and C return ChainRecords for the same measurements of
+    one plan, and engine A's a_tilde follows the imposed results."""
+    plan = StroboscopicPlan(T / 2.0, 3, results=(2.0, -1.0))
+    gate = 1e-5 * T
+    a = stroboscopic_widths(5.0, plan.interval, plan.measurements, plan.error, gate, 0.5, 1.0,
+                            results=plan.results)
+    b = run_stroboscopic(Lattice(points=1201), plan, 5.0, gate, 0.5, 1.0, gate_steps=50)
+    c = uncertainty_evolution(plan, packet)
+    for chain in (a, b, c):
+        assert all(type(r) is ChainRecord for r in chain)
+        assert [r.n for r in chain] == [1, 2, 3]
+    # A's a_tilde is the packet center: each impulsive measurement pulls it
+    # toward the imposed result r, weighted by inverse variances (the
+    # width^2 entering it is delta_a_eff^2 - error^2), and the half period
+    # then mirrors it
+    assert a[0].a_tilde == 0.0
+    for before, after, r in zip(a, a[1:], plan.imposed_results()):
+        var = before.delta_a_eff**2 - plan.error**2
+        pulled = (before.a_tilde / var + r / plan.error**2) / (1.0 / var + 1.0 / plan.error**2)
+        assert after.a_tilde == pytest.approx(-pulled, rel=1e-6)
+    for chain in (b, c):
+        for ra, rx in zip(a, chain):
+            assert rx.a_tilde == pytest.approx(ra.a_tilde, abs=1e-3)
+            assert rx.delta_a_eff == pytest.approx(ra.delta_a_eff, rel=0.10)
