@@ -95,23 +95,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(_read_config(args.config), args)
-    except (ConfigError, StepFilterUnsupportedError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    started = time.perf_counter()
-    try:
-        if args.command == "run":
-            records = run(cfg)
-            paths = emit(cfg, records, "run")
-        elif args.command == "sweep":
-            records = sweep(cfg)
-            paths = emit(cfg, records, "sweep")
+        started = time.perf_counter()
+        if args.command in ("run", "sweep"):
+            records = run(cfg) if args.command == "run" else sweep(cfg)
+            paths = emit(cfg, records, args.command)
         elif args.command == "distribution":
             dist = distribution(cfg)
             paths = emit_distribution(cfg, dist)
             print(f"a_tilde = {dist.a_tilde:.6g}, delta_a_eff = {dist.delta_a_eff:.6g}")
-            records = None
         else:
             report = cross_validate(cfg)
             for pair in report.pairs:
@@ -127,10 +118,6 @@ def main(argv=None) -> int:
                               for p in report.pairs],
                 },
             })
-            for path in paths:
-                print(f"wrote {path}")
-            print("PASS" if report.passed else "FAIL")
-            return 0 if report.passed else 1
     except (ConfigError, StepFilterUnsupportedError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -139,10 +126,13 @@ def main(argv=None) -> int:
         return 3
 
     elapsed = time.perf_counter() - started
-    if records is not None:
+    if args.command in ("run", "sweep"):
         print(_summarize(records))
     for path in paths:
         print(f"wrote {path}")
+    if args.command == "validate":
+        print("PASS" if report.passed else "FAIL")
+        return 0 if report.passed else 1
     print(f"done in {elapsed:.2f} s")
     return 0
 

@@ -18,7 +18,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -28,7 +28,8 @@ from .collapse import OutcomeDistribution
 from .gaussian_analytic import stroboscopic_widths
 from .oscillator import OscillatorBasis, basis_quadrature, project_gaussian
 from .pde import Lattice, run_stroboscopic
-from .stroboscopic import StroboscopicPlan, nth_outcome_distribution, uncertainty_evolution
+from .stroboscopic import (StroboscopicPlan, asymptotic_uncertainty, nth_outcome_distribution,
+                           uncertainty_evolution)
 from .weights import WeightSpec
 
 
@@ -116,8 +117,10 @@ class ExperimentConfig:
 
 
 def _coerce_scalar(raw, default, where: str):
-    # Python's json reads NaN and Infinity, which pass every range check
-    if isinstance(default, (int, float)) and isinstance(raw, float) and not math.isfinite(raw):
+    # Python's json reads NaN, Infinity and integers too large for a float;
+    # each passes the range checks and fails later
+    if (isinstance(default, (int, float)) and isinstance(raw, (int, float))
+            and not abs(raw) <= sys.float_info.max):
         raise ConfigError(f"{where}: expected a finite number")
     if isinstance(default, int):
         if isinstance(raw, bool) or not isinstance(raw, (int, float)) or int(raw) != raw:
@@ -316,10 +319,9 @@ def _engine_b(cfg, plans, final: bool) -> list:
 
 
 def _engine_c(cfg, plans, final: bool) -> list:
-    # the final scan is seeded from a scan at N-2, as asymptotic_uncertainty does
-    state = _initial_state(cfg)
-    return [uncertainty_evolution(plan, state, cfg.numerics.outcome_points,
-                                  {plan.measurements - 2, plan.measurements} if final else None)
+    state, points = _initial_state(cfg), cfg.numerics.outcome_points
+    return [[asymptotic_uncertainty(plan, state, points)] if final
+            else uncertainty_evolution(plan, state, points)
             for plan in plans]
 
 

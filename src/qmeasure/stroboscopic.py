@@ -198,46 +198,48 @@ def nth_outcome_distribution(plan: StroboscopicPlan, state: EigenState,
 
 
 @dataclass(frozen=True)
-class AsymptoticResult:
-    """Late-chain uncertainty, with a two-point stabilization check."""
+class AsymptoticResult(ChainRecord):
+    """Record of measurement N, with the scan at N-2 as a stability check.
 
-    delta_a_eff: float
-    a_tilde: float
-    norm_squared: float
+    `reference` is the delta_a_eff scanned at N-2 (NaN when N < 3).
+    `stabilized` means the scans at N-2 and N differ by under 1%, not that
+    the chain has converged: at dt = T/2 they read 1.0377 and 1.0327, yet the
+    sequence still falls toward the instrumental error as n grows.
+    """
+
     stabilized: bool
     reference: float
 
 
 def asymptotic_uncertainty(plan: StroboscopicPlan, state: EigenState,
                            points: int = 801) -> AsymptoticResult:
-    """Uncertainty of the last measurement, scanning only n = N-2 and n = N.
+    """Record of the last measurement, scanning only n = N-2 and n = N.
 
     Intermediate measurements are imposed without scanning, so a length-N
-    chain costs two scans. `stabilized` requires the two scans to agree to
-    1% relative; same-parity steps are compared so period-two orbits of the
+    chain costs two scans, and the scan at N-2 seeds the window of the scan
+    at N. `stabilized` means the two scans differ by under 1% relative, not
+    "converged"; same-parity steps are compared so period-two orbits of the
     width (possible at quarter-period intervals) still count as stabilized.
     """
     N = plan.measurements
     *head, last = uncertainty_evolution(plan, state, points, scan_at={N - 2, N})
     reference = head[0].delta_a_eff if head else float("nan")
     stabilized = bool(head and abs(last.delta_a_eff - reference) <= 0.01 * last.delta_a_eff)
-    return AsymptoticResult(last.delta_a_eff, last.a_tilde, last.norm_squared,
-                            stabilized, reference)
+    return AsymptoticResult(**vars(last), stabilized=stabilized, reference=reference)
 
 
 @dataclass(frozen=True)
 class UncertaintyCurve:
-    """Asymptotic uncertainty as a function of the quiescent interval."""
+    """Asymptotic uncertainty as a function of the quiescent interval;
+    `results` holds each interval's AsymptoticResult."""
 
     intervals: np.ndarray
-    values: np.ndarray
-    a_tildes: np.ndarray
-    norms: np.ndarray
-    stabilized: np.ndarray
     period: float
-    error: float
-    filter_kind: str
-    measurements: int
+    results: tuple
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.array([r.delta_a_eff for r in self.results])
 
     @property
     def intervals_over_period(self) -> np.ndarray:
@@ -268,17 +270,7 @@ def sweep_quiescent_time(
 ) -> UncertaintyCurve:
     """Asymptotic uncertainty over a grid of quiescent intervals."""
     intervals = np.asarray(intervals, dtype=float)
-    values = np.empty_like(intervals)
-    a_tildes = np.empty_like(intervals)
-    norms = np.empty_like(intervals)
-    stab = np.zeros(intervals.shape, dtype=bool)
-    for i, dt in enumerate(intervals):
-        plan = StroboscopicPlan(float(dt), measurements, filter_kind, error,
-                                results, result_value)
-        res = asymptotic_uncertainty(plan, state, points)
-        values[i] = res.delta_a_eff
-        a_tildes[i] = res.a_tilde
-        norms[i] = res.norm_squared
-        stab[i] = res.stabilized
-    return UncertaintyCurve(intervals, values, a_tildes, norms, stab,
-                            state.basis.period, error, filter_kind, measurements)
+    return UncertaintyCurve(intervals, state.basis.period, tuple(
+        asymptotic_uncertainty(StroboscopicPlan(float(dt), measurements, filter_kind, error,
+                                                results, result_value), state, points)
+        for dt in intervals))

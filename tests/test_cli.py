@@ -103,6 +103,10 @@ def test_distribution_step_filter_from_config_file(tmp_path):
     {"state": {"width": float("-inf")}},
     {"plan": {"measurements": float("nan")}},
     {"plan": {"measurements": 3, "results": [0.0, float("inf")]}},
+    {"plan": {"interval_over_period": 10 ** 400}},
+    {"plan": {"measurements": 10 ** 400}},
+    {"plan": {"measurements": 3, "results": [0.0, 10 ** 400]}},
+    {"numerics": {"levels": 10 ** 400}},
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, mapping):
     cfg = _write_config(tmp_path, {"engines": ["A"], **mapping})

@@ -105,6 +105,22 @@ def test_asymptotic_matches_full_chain(packet):
     assert res.reference == pytest.approx(full[-3].delta_a_eff, rel=1e-4)
 
 
+def test_asymptotic_uncertainty_is_the_record_of_measurement_n(packet):
+    """asymptotic_uncertainty is measurement N's ChainRecord from the chain
+    scanned at N-2 and N, and sweep_quiescent_time collects those records."""
+    plan = StroboscopicPlan(T / 2.0, 8)
+    res = asymptotic_uncertainty(plan, packet)
+    assert isinstance(res, ChainRecord) and res.n == 8
+    last = uncertainty_evolution(plan, packet, scan_at={6, 8})[-1]
+    assert (res.delta_a_eff, res.a_tilde, res.norm_squared) == (
+        last.delta_a_eff, last.a_tilde, last.norm_squared)
+    intervals = np.array([0.25, 0.5, 0.75]) * T
+    curve = sweep_quiescent_time(packet, intervals, measurements=8)
+    expected = tuple(asymptotic_uncertainty(StroboscopicPlan(dt, 8), packet) for dt in intervals)
+    assert curve.results == expected
+    assert np.array_equal(curve.values, [r.delta_a_eff for r in expected])
+
+
 def test_quarter_period_fixed_point(packet):
     plan = StroboscopicPlan(T / 4.0, 16)
     res = asymptotic_uncertainty(plan, packet)
