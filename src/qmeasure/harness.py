@@ -27,7 +27,7 @@ import numpy as np
 from .collapse import OutcomeDistribution
 from .gaussian_analytic import stroboscopic_widths
 from .oscillator import OscillatorBasis, basis_quadrature, project_gaussian
-from .pde import Lattice, run_stroboscopic
+from .pde import Lattice, _steps_within, run_stroboscopic
 from .stroboscopic import (StroboscopicPlan, asymptotic_uncertainty, nth_outcome_distribution,
                            uncertainty_evolution)
 from .weights import WeightSpec
@@ -87,7 +87,7 @@ class NumericsConfig:
     outcome_points: int = 801
     pde_outcome_points: int = 129
     gate_fraction: float = 1e-5
-    gate_steps: int = 200
+    gate_steps: int = 1
     lattice: LatticeConfig = field(default_factory=LatticeConfig)
 
 
@@ -229,8 +229,10 @@ def validate_config(cfg: "ExperimentConfig") -> "ExperimentConfig":
         raise ConfigError("outcome grids need at least 9 points")
     if not 0 < num.gate_fraction < 0.1:
         raise ConfigError("numerics.gate_fraction must lie in (0, 0.1)")
-    if num.gate_steps < 10:
-        raise ConfigError("numerics.gate_steps must be at least 10")
+    need = _steps_within(num.gate_fraction * _period(cfg), lat.time_step)
+    if num.gate_steps < need:
+        raise ConfigError(f"numerics.gate_steps must be at least {need}, so that no gate "
+                          "substep is longer than numerics.lattice.time_step")
     if sweep.start_over_period <= 0 or sweep.stop_over_period < sweep.start_over_period:
         raise ConfigError("sweep: need 0 < start_over_period <= stop_over_period")
     if sweep.points < 2:

@@ -1,20 +1,18 @@
-"""Crank-Nicolson solver for the oscillator with non-Hermitian measurement gates.
+"""Crank-Nicolson solver for the oscillator, with Strang-split measurement gates.
 
-The grid wavefunction evolves under
+The grid wavefunction evolves under H = -(hbar^2/2m) d^2/dx^2 + (m omega^2/2) x^2.
+With z = i dt/2hbar a Crank-Nicolson step is psi' = (1 + zH)^-1 (1 - zH) psi
+on a tridiagonal system with Dirichlet walls. Since that is 2 (1 + zH)^-1 psi
+- psi, each evolve call factors 1 + zH once (LAPACK zgttrf) and every step is
+one tridiagonal solve. The scheme is unitary up to roundoff.
 
-    H_eff = -(hbar^2/2m) d^2/dx^2 + (m omega^2/2) x^2 - i hbar kappa (x - a)^2,
-
-with the gate term present only while a measurement runs. With z = i dt/2hbar
-a Crank-Nicolson step is psi' = (1 + zH)^-1 (1 - zH) psi on a tridiagonal
-system with Dirichlet walls. Since (1 + zH)^-1 (1 - zH) = 2 (1 + zH)^-1 - 1,
-each evolve call factors 1 + zH once (LAPACK zgttrf) and every step is one
-tridiagonal solve, psi' = 2 y - psi with (1 + zH) y = psi. The scheme is
-unitary up to roundoff while the gate is off. Under the absorptive gate it
-is A-stable, so the norm never grows, but not L-stable: where
-w = kappa dt (x - a)^2 / 2 is large, the step factor (1 - w)/(1 + w) tends
-to -1 instead of exp(-2w), so the gate step must stay small against
-1/(kappa (x - a)^2) to reproduce the filter. Only the Gaussian filter has
-a gate Hamiltonian of this form; step filters are rejected.
+A measurement of duration tau with result a is the propagator of
+H - i hbar kappa (x - a)^2, the restricted path integral. The gate splits it
+into `gate_steps` Strang substeps: a free half step, the Gaussian filter to
+the power 1/gate_steps (the absorptive term's exact propagator), and a free
+half step. Its error is second order in tau/gate_steps, and as tau -> 0 it
+becomes the von Neumann collapse psi -> w_a psi. Step filters have no such
+gate term and are rejected.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .collapse import OutcomeDistribution, _self_sizing_scan
 from .stroboscopic import ChainRecord, StroboscopicPlan, _scan_chain
-from .weights import measurement_coupling
+from .weights import WeightSpec, evaluate_weight
 
 
 class StepFilterUnsupportedError(ValueError):
@@ -104,11 +102,9 @@ class TridiagonalOperator:
     off_diagonal: complex
 
 
-def effective_hamiltonian(lattice: Lattice, mass: float, omega: float, hbar: float = 1.0,
-                          gate_center: float | None = None,
-                          gate_coupling: float = 0.0) -> TridiagonalOperator:
-    """Three-point Hamiltonian; omega = 0 gives a free particle, and a gate
-    adds the absorptive quadratic well at gate_center."""
+def effective_hamiltonian(lattice: Lattice, mass: float, omega: float,
+                          hbar: float = 1.0) -> TridiagonalOperator:
+    """Three-point Hamiltonian; omega = 0 gives a free particle."""
     if mass <= 0 or hbar <= 0:
         raise ValueError("mass and hbar must be positive")
     if omega < 0:
@@ -116,8 +112,6 @@ def effective_hamiltonian(lattice: Lattice, mass: float, omega: float, hbar: flo
     x = lattice.x
     k = hbar**2 / (2.0 * mass * lattice.dx**2)
     diag = 2.0 * k + 0.5 * mass * omega**2 * x**2 + 0j
-    if gate_center is not None:
-        diag -= 1j * hbar * gate_coupling * (x - gate_center) ** 2
     return TridiagonalOperator(diag, complex(-k))
 
 
@@ -151,86 +145,89 @@ def crank_nicolson_evolve(op: TridiagonalOperator, values: np.ndarray, dt: float
 def _leak_check(wavefn: GridWavefunction, stage: str, tolerance: float = 1e-8):
     leak = wavefn.boundary_mass()
     if leak > tolerance:
-        raise BoundaryLeakError(
-            f"boundary probability {leak:.3e} exceeds {tolerance:.0e} {stage}; "
-            "enlarge the lattice"
-        )
+        raise BoundaryLeakError(f"boundary probability {leak:.3e} exceeds {tolerance:.0e} "
+                                f"{stage}; enlarge the lattice")
 
 
-def _gate_evolved(wavefn: GridWavefunction, a: float, kappa: float, duration: float,
-                  gate_steps: int, mass: float, omega: float, hbar: float) -> GridWavefunction:
-    op = effective_hamiltonian(wavefn.lattice, mass, omega, hbar,
-                               gate_center=a, gate_coupling=kappa)
-    dt = duration / gate_steps
-    return GridWavefunction(wavefn.lattice,
-                            crank_nicolson_evolve(op, wavefn.values, dt, gate_steps, hbar))
+def _gate(wavefn: GridWavefunction, op: TridiagonalOperator, error: float, duration: float,
+          steps: int, hbar: float):
+    """Engine B's gate on `wavefn` as a function `gate(a)` of the outcome. The leading
+    half substep is taken once, here; `close=False` skips the closing, unitary one."""
+    half = duration / (2 * steps)
+    lead = crank_nicolson_evolve(op, wavefn.values, half, 1, hbar)
+    root_error = error * np.sqrt(steps)
+
+    def gate(a: float, close: bool = True) -> np.ndarray:
+        filt = evaluate_weight(WeightSpec("gaussian", a, root_error), wavefn.lattice.x)
+        psi = lead * filt
+        for _ in range(steps - 1):
+            psi = crank_nicolson_evolve(op, psi, half, 2, hbar) * filt
+        return crank_nicolson_evolve(op, psi, half, 1, hbar) if close else psi
+
+    return gate
 
 
-def _scan(wavefn: GridWavefunction, error: float, gate_duration: float, gate_steps: int,
-          points: int, mass: float, omega: float, hbar: float,
-          seed: float | None) -> OutcomeDistribution:
-    """Outcome distribution by rerunning the gate for each candidate outcome,
+def _steps_within(duration: float, time_step: float) -> int:
+    """Fewest equal steps, at least one, no longer than time_step."""
+    return max(1, int(np.ceil(duration / time_step)))
+
+
+def _scan(wavefn: GridWavefunction, op: TridiagonalOperator, error: float, gate_duration: float,
+          gate_steps: int, points: int, hbar: float, seed: float | None) -> OutcomeDistribution:
+    """Outcome distribution from the gated norm at each candidate outcome,
     on a self-sizing window centered on the packet's mean."""
-    kappa = measurement_coupling(error, gate_duration)
+    gate = _gate(wavefn, op, error, gate_duration, gate_steps, hbar)
     mean, var = wavefn.moments()
 
     def scan(hw: float) -> OutcomeDistribution:
         outcomes = np.linspace(mean - hw, mean + hw, points)
-        norms = [_gate_evolved(wavefn, float(a), kappa, gate_duration, gate_steps,
-                               mass, omega, hbar).norm_squared() for a in outcomes]
+        norms = [GridWavefunction(wavefn.lattice, gate(float(a), close=False)).norm_squared()
+                 for a in outcomes]
         return OutcomeDistribution.from_norms(outcomes, norms, "gaussian", error)
 
     return _self_sizing_scan(scan, error, var, seed)
 
 
-def run_stroboscopic(
-    lattice: Lattice,
-    plan: StroboscopicPlan,
-    width: float,
-    gate_duration: float,
-    mass: float,
-    omega: float,
-    hbar: float = 1.0,
-    center: float = 0.0,
-    gate_steps: int = 200,
-    time_step: float | None = None,
-    outcome_points: int = 129,
-    scan_at: set[int] | None = None,
-) -> list[ChainRecord]:
+def run_stroboscopic(lattice: Lattice, plan: StroboscopicPlan, width: float,
+                     gate_duration: float, mass: float, omega: float, hbar: float = 1.0,
+                     center: float = 0.0, gate_steps: int = 1, time_step: float | None = None,
+                     outcome_points: int = 129,
+                     scan_at: set[int] | None = None) -> list[ChainRecord]:
     """Full grid simulation of the plan, starting from a Gaussian packet.
 
-    Each measurement is scanned by rerunning its gate over a grid of
-    candidate outcomes (`outcome_points` of them) from the same pre-gate
-    state; the imposed result's gate then advances the chain, followed by
-    free Crank-Nicolson evolution across the quiescent interval. `scan_at`
-    restricts which measurements are scanned (all by default). Probability
-    reaching the walls raises BoundaryLeakError.
+    Each measurement is scanned by gating the same pre-gate state at each of
+    `outcome_points` candidate outcomes; the imposed result's gate, of
+    `gate_steps` Strang substeps none longer than `time_step`, then advances
+    the chain, followed by free evolution across the quiescent interval.
+    `scan_at` restricts which measurements are scanned (all by default).
+    Probability reaching the walls raises BoundaryLeakError.
     """
     if plan.filter_kind != "gaussian":
-        raise StepFilterUnsupportedError(
-            "step filters have no local gate Hamiltonian on the grid"
-        )
-    if gate_duration <= 0 or gate_steps < 1:
-        raise ValueError("gate_duration and gate_steps must be positive")
+        raise StepFilterUnsupportedError("step filters have no local gate Hamiltonian on the grid")
+    if gate_duration <= 0:
+        raise ValueError("gate_duration must be positive")
     if time_step is None:
         time_step = 0.000625 / omega if omega > 0 else 0.000625
-    kappa = measurement_coupling(plan.error, gate_duration)
+    need = _steps_within(gate_duration, time_step)
+    if gate_steps < need:
+        raise ValueError(f"gate_steps must be at least {need}, so that no gate substep "
+                         "is longer than time_step")
     wavefn = sample_gaussian(lattice, width, center)
     _leak_check(wavefn, "before measurement 1")
     free_op = effective_hamiltonian(lattice, mass, omega, hbar)
-    free_steps = max(1, int(np.ceil(plan.interval / time_step)))
+    free_steps = _steps_within(plan.interval, time_step)
     free_dt = plan.interval / free_steps
 
     def advance(wavefn: GridWavefunction, a: float, n: int) -> GridWavefunction:
-        wavefn = _gate_evolved(wavefn, a, kappa, gate_duration, gate_steps, mass, omega, hbar)
+        values = _gate(wavefn, free_op, plan.error, gate_duration, gate_steps, hbar)(a)
         wavefn = GridWavefunction(
-            lattice, crank_nicolson_evolve(free_op, wavefn.values, free_dt, free_steps, hbar))
+            lattice, crank_nicolson_evolve(free_op, values, free_dt, free_steps, hbar))
         _leak_check(wavefn, f"after interval {n}")
         return wavefn
 
     def scan(wavefn: GridWavefunction, seed):
-        dist = _scan(wavefn.normalized(), plan.error, gate_duration, gate_steps,
-                     outcome_points, mass, omega, hbar, seed)
+        dist = _scan(wavefn.normalized(), free_op, plan.error, gate_duration, gate_steps,
+                     outcome_points, hbar, seed)
         return dist.delta_a_eff, dist.a_tilde
 
     return _scan_chain(plan, wavefn, advance, scan, GridWavefunction.norm_squared, scan_at)

@@ -5,15 +5,14 @@ from qmeasure import (
     GaussianPacket,
     Lattice,
     critical_time,
-    crank_nicolson_evolve,
     effective_hamiltonian,
     evolve_free,
     evolve_measured,
     impulsive_uncertainty,
-    measurement_coupling,
     sample_gaussian,
     stroboscopic_widths,
 )
+from qmeasure.pde import _gate
 
 MASS = 0.5
 OMEGA = 1.0
@@ -98,13 +97,12 @@ def test_off_center_impulsive_gate():
 
 
 def test_measured_segment_against_grid():
-    """A moderate gate cross-checked against the Crank-Nicolson engine."""
+    """A moderate gate cross-checked against the lattice engine's gate."""
     lat = Lattice(-40.0, 40.0, 4001)
     duration, err, a = 0.05, 1.0, 0.7
-    kappa = measurement_coupling(err, duration)
     grid = sample_gaussian(lat, 2.0)
-    op = effective_hamiltonian(lat, MASS, OMEGA, gate_center=a, gate_coupling=kappa)
-    values = crank_nicolson_evolve(op, grid.values, duration / 2000, 2000)
+    # 80 Strang substeps: none longer than the default lattice time step
+    values = _gate(grid, effective_hamiltonian(lat, MASS, OMEGA), err, duration, 80, 1.0)(a)
     p = evolve_measured(GaussianPacket.from_width(2.0), duration, err, MASS, OMEGA, center=a)
 
     rho = np.abs(values) ** 2

@@ -87,6 +87,15 @@ def test_object_errors_name_their_section(mapping, section):
         config_from_mapping(mapping)
 
 
+def test_gate_substeps_within_time_step():
+    """At gate_fraction 0.01 the gate lasts 0.0628, over 100 default time steps."""
+    with pytest.raises(ConfigError, match="at least 101"):
+        config_from_mapping({"numerics": {"gate_fraction": 0.01}})
+    config_from_mapping({"numerics": {"gate_fraction": 0.01, "gate_steps": 101}})
+    with pytest.raises(ConfigError):
+        config_from_mapping({"numerics": {"gate_steps": 0}})
+
+
 def test_results_sequence_length():
     config_from_mapping({"plan": {"measurements": 4, "results": [0.0, 0.1, 0.2]}})
     with pytest.raises(ConfigError):

@@ -16,7 +16,7 @@ from qmeasure import (
     run_stroboscopic,
     sample_gaussian,
 )
-from qmeasure.pde import TridiagonalOperator
+from qmeasure.pde import TridiagonalOperator, _gate, _scan
 
 MASS = 0.5
 OMEGA = 1.0
@@ -42,6 +42,14 @@ def test_sample_gaussian_moments():
     assert var == pytest.approx(4.5, rel=1e-6)
 
 
+def _absorbing(lat, center, coupling):
+    """The Hamiltonian plus the absorptive well -i kappa (x - center)^2 (hbar = 1):
+    a complex diagonal for the Crank-Nicolson kernel."""
+    op = effective_hamiltonian(lat, MASS, OMEGA)
+    return TridiagonalOperator(op.diagonal - 1j * coupling * (lat.x - center) ** 2,
+                               op.off_diagonal)
+
+
 def _dense(op):
     n = op.diagonal.size
     return np.diag(op.diagonal) + op.off_diagonal * (np.eye(n, k=1) + np.eye(n, k=-1))
@@ -50,7 +58,7 @@ def _dense(op):
 def test_apply_hamiltonian_matches_dense():
     rng = np.random.default_rng(7)
     lat = Lattice(-5.0, 5.0, 64)
-    op = effective_hamiltonian(lat, MASS, OMEGA, gate_center=0.3, gate_coupling=2.0)
+    op = _absorbing(lat, 0.3, 2.0)
     v = rng.normal(size=64) + 1j * rng.normal(size=64)
     assert np.allclose(apply_hamiltonian(op, v), _dense(op) @ v, atol=1e-12)
 
@@ -103,7 +111,7 @@ def test_gated_steps_match_dense_iteration():
     """With the non-Hermitian gate on, each step is solve(1 + zH, (1 - zH) psi)."""
     rng = np.random.default_rng(11)
     lat = Lattice(-5.0, 5.0, 64)
-    op = effective_hamiltonian(lat, MASS, OMEGA, gate_center=0.3, gate_coupling=2.0)
+    op = _absorbing(lat, 0.3, 2.0)
     dense = _dense(op)
     dt, steps = 0.01, 7
     z = 1j * dt / 2.0
@@ -120,8 +128,7 @@ def test_gate_matches_banded_formulation():
     lat = Lattice()
     tau = 1e-5 * T
     wavefn = sample_gaussian(lat, 5.0)
-    op = effective_hamiltonian(lat, MASS, OMEGA, gate_center=0.8,
-                               gate_coupling=measurement_coupling(1.0, tau))
+    op = _absorbing(lat, 0.8, measurement_coupling(1.0, tau))
     expected = _banded_reference(op, wavefn.values, tau / 200, 200)
     values = crank_nicolson_evolve(op, wavefn.values, tau / 200, 200)
     assert np.max(np.abs(values - expected)) < 1e-12 * np.max(np.abs(expected))
@@ -181,14 +188,46 @@ def test_gate_is_impulsive_filter():
 
     lat = Lattice(-60.0, 60.0, 4801)
     wavefn = sample_gaussian(lat, 5.0)
-    op = effective_hamiltonian(lat, MASS, OMEGA, gate_center=a,
-                               gate_coupling=measurement_coupling(plan_err, tau))
-    values = crank_nicolson_evolve(op, wavefn.values, tau / 200, 200)
+    values = _gate(wavefn, effective_hamiltonian(lat, MASS, OMEGA), plan_err, tau, 1, 1.0)(a)
     rho = np.abs(values) ** 2
     total = np.trapezoid(rho, dx=lat.dx)
     mean = np.trapezoid(lat.x * rho, dx=lat.dx) / total
     assert total == pytest.approx(exact.norm_squared, rel=1e-6)
     assert mean == pytest.approx(exact.center, abs=1e-6)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_scan_norms_are_full_gate_norms(steps):
+    """The scan skips the closing half substep, which keeps the norm."""
+    tau, err = 0.05, 1.0
+    wavefn = sample_gaussian(COARSE, 2.0, center=0.4)
+    op = effective_hamiltonian(COARSE, MASS, OMEGA)
+    dist = _scan(wavefn, op, err, tau, steps, 65, 1.0, None)
+    gate = _gate(wavefn, op, err, tau, steps, 1.0)
+    norms = np.array([np.trapezoid(np.abs(gate(a)) ** 2, dx=COARSE.dx) for a in dist.outcomes])
+    expected = norms / np.trapezoid(norms, dist.outcomes)
+    assert np.allclose(dist.density, expected, rtol=1e-12, atol=0.0)
+
+
+def test_gate_splitting_is_second_order():
+    """A finite gate's norm error against the closed form falls about
+    fourfold each time the substep count doubles."""
+    lat = Lattice(-40.0, 40.0, 4001)
+    duration, err, a = 0.05, 1.0, 0.7
+    wavefn = sample_gaussian(lat, 2.0)
+    op = effective_hamiltonian(lat, MASS, OMEGA)
+    exact = evolve_measured(GaussianPacket.from_width(2.0), duration, err, MASS, OMEGA,
+                            center=a).norm_squared
+    errors = [abs(np.trapezoid(np.abs(_gate(wavefn, op, err, duration, steps, 1.0)(a)) ** 2,
+                               dx=lat.dx) - exact) for steps in (4, 8, 16)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.0 < coarse / fine < 5.0
+
+
+def test_gate_substeps_no_longer_than_time_step():
+    plan = StroboscopicPlan(T / 2.0, 1)
+    with pytest.raises(ValueError, match="at least 80"):
+        run_stroboscopic(COARSE, plan, 5.0, 0.05, MASS, OMEGA, gate_steps=1)
 
 
 def test_single_measurement_uncertainty():
