@@ -3,8 +3,8 @@
 
 Three independent engines compute the effective uncertainty of each
 measurement in a stroboscopic sequence: closed-form Gaussian packet
-propagation, a Crank-Nicolson grid solver with explicit non-Hermitian
-measurement gates, and eigenbasis filter-matrix chains.
+propagation, a Crank-Nicolson grid solver whose measurement gates are
+Strang-split Gaussian filters, and eigenbasis filter-matrix chains.
 """
 
 from .collapse import (

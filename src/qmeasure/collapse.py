@@ -138,16 +138,11 @@ class OutcomeDistribution:
     error: float = 1.0
 
     @classmethod
-    def from_norms(
-        cls,
-        outcomes: np.ndarray,
-        norms_squared: np.ndarray,
-        kind: str,
-        error: float,
-        boundary_tolerance: float = 1e-6,
-    ) -> "OutcomeDistribution":
+    def from_norms(cls, outcomes: np.ndarray, norms_squared: np.ndarray, kind: str,
+                   error: float) -> "OutcomeDistribution":
         """Summarize raw collapsed norms ||w_a psi||^2 into a distribution,
-        P(a) ~ ||w_a psi||^2 (the Born rule in the sharp-filter limit)."""
+        P(a) ~ ||w_a psi||^2 (the Born rule in the sharp-filter limit).
+        GridCoverageError when the two end samples carry over 1e-6 of it."""
         outcomes = np.asarray(outcomes, dtype=float)
         raw = np.asarray(norms_squared, dtype=float)
         total = np.trapezoid(raw, outcomes)
@@ -156,7 +151,7 @@ class OutcomeDistribution:
         density = raw / total
         h = outcomes[1] - outcomes[0]
         boundary = float((density[0] + density[-1]) * h)
-        if boundary > boundary_tolerance:
+        if boundary > 1e-6:
             raise GridCoverageError(
                 f"probability mass {boundary:.3e} at the grid edge; widen the outcome grid"
             )

@@ -151,11 +151,8 @@ def evolve_measured(packet: GaussianPacket, duration: float, error: float, mass:
     kappa = measurement_coupling(error, duration)
     w2 = complex(omega**2, -2.0 * hbar * kappa / mass)
     w = np.sqrt(w2)
-    if center == 0.0:
-        shift, offset = 0.0, 0.0
-    else:
-        shift = -2j * hbar * kappa * center / (mass * w2)
-        offset = -1j * hbar * kappa * center**2 - 0.5 * mass * w2 * shift**2
+    shift = -2j * hbar * kappa * center / (mass * w2)
+    offset = -1j * hbar * kappa * center**2 - 0.5 * mass * w2 * shift**2
     return _propagate(packet, w, shift, offset, duration, mass, hbar)
 
 

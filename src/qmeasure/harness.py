@@ -4,7 +4,7 @@ A single JSON-serializable configuration describes the physical setup, the
 measurement plan, per-engine numerics, and the output layout. `ENGINES`
 maps each engine letter to an adapter with one signature,
 (cfg, plans, final) -> one list of ChainRecords per StroboscopicPlan:
-A (closed-form Gaussian packets), B (grid Crank-Nicolson with explicit
+A (closed-form Gaussian packets), B (grid Crank-Nicolson with Strang-split
 gates), C (eigenbasis filter-matrix chains). With `final` set an adapter
 need only scan the last measurement, whose record comes last. `run`,
 `sweep` and `cross_validate` go through that table alone, and `_records`
@@ -27,7 +27,7 @@ import numpy as np
 from .collapse import OutcomeDistribution
 from .gaussian_analytic import stroboscopic_widths
 from .oscillator import OscillatorBasis, basis_quadrature, project_gaussian
-from .pde import Lattice, _steps_within, run_stroboscopic
+from .pde import Lattice, _check_gate_steps, run_stroboscopic
 from .stroboscopic import (StroboscopicPlan, asymptotic_uncertainty, nth_outcome_distribution,
                            uncertainty_evolution)
 from .weights import WeightSpec
@@ -84,8 +84,6 @@ class LatticeConfig:
 class NumericsConfig:
     levels: int = 64
     quadrature_points: int = 800
-    outcome_points: int = 801
-    pde_outcome_points: int = 129
     gate_fraction: float = 1e-5
     gate_steps: int = 1
     lattice: LatticeConfig = field(default_factory=LatticeConfig)
@@ -225,14 +223,13 @@ def validate_config(cfg: "ExperimentConfig") -> "ExperimentConfig":
         raise ConfigError("numerics.lattice.time_step must be positive")
     if num.quadrature_points < 32:
         raise ConfigError("numerics.quadrature_points must be at least 32")
-    if num.outcome_points < 9 or num.pde_outcome_points < 9:
-        raise ConfigError("outcome grids need at least 9 points")
     if not 0 < num.gate_fraction < 0.1:
         raise ConfigError("numerics.gate_fraction must lie in (0, 0.1)")
-    need = _steps_within(num.gate_fraction * _period(cfg), lat.time_step)
-    if num.gate_steps < need:
-        raise ConfigError(f"numerics.gate_steps must be at least {need}, so that no gate "
-                          "substep is longer than numerics.lattice.time_step")
+    if num.gate_steps < 1:
+        raise ConfigError("numerics.gate_steps must be at least 1")
+    if "B" in cfg.engines:
+        _section("numerics", _check_gate_steps, num.gate_steps,
+                 num.gate_fraction * _period(cfg), lat.time_step)
     if sweep.start_over_period <= 0 or sweep.stop_over_period < sweep.start_over_period:
         raise ConfigError("sweep: need 0 < start_over_period <= stop_over_period")
     if sweep.points < 2:
@@ -315,15 +312,13 @@ def _engine_b(cfg, plans, final: bool) -> list:
     return [run_stroboscopic(lat, plan, cfg.state.width, num.gate_fraction * _period(cfg),
                              u.mass, u.frequency, u.hbar, center=cfg.state.center,
                              gate_steps=num.gate_steps, time_step=num.lattice.time_step,
-                             outcome_points=num.pde_outcome_points,
                              scan_at={plan.measurements} if final else None)
             for plan in plans]
 
 
 def _engine_c(cfg, plans, final: bool) -> list:
-    state, points = _initial_state(cfg), cfg.numerics.outcome_points
-    return [[asymptotic_uncertainty(plan, state, points)] if final
-            else uncertainty_evolution(plan, state, points)
+    state = _initial_state(cfg)
+    return [[asymptotic_uncertainty(plan, state)] if final else uncertainty_evolution(plan, state)
             for plan in plans]
 
 
@@ -418,8 +413,7 @@ def distribution(cfg: "ExperimentConfig") -> OutcomeDistribution:
     """Outcome density of the plan's final measurement (eigenbasis engine)."""
     state = _initial_state(cfg)
     interval = cfg.plan.interval_over_period * _period(cfg)
-    return nth_outcome_distribution(_plan(cfg, interval), state,
-                                    points=cfg.numerics.outcome_points)
+    return nth_outcome_distribution(_plan(cfg, interval), state)
 
 
 CSV_HEADER = "engine,filter,dt_over_T,n,delta_a_eff,a_tilde,norm"

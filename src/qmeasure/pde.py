@@ -67,10 +67,10 @@ class GridWavefunction:
     def norm_squared(self) -> float:
         return float(np.trapezoid(np.abs(self.values) ** 2, dx=self.lattice.dx))
 
-    def boundary_mass(self, cells: int = 3) -> float:
-        """Probability in the outermost cells on either wall."""
+    def boundary_mass(self) -> float:
+        """Probability in the outermost three cells on either wall."""
         p = np.abs(self.values) ** 2 * self.lattice.dx
-        return float(p[:cells].sum() + p[-cells:].sum())
+        return float(p[:3].sum() + p[-3:].sum())
 
     def moments(self) -> tuple[float, float]:
         """Position mean and variance (normalized internally)."""
@@ -142,11 +142,11 @@ def crank_nicolson_evolve(op: TridiagonalOperator, values: np.ndarray, dt: float
     return psi
 
 
-def _leak_check(wavefn: GridWavefunction, stage: str, tolerance: float = 1e-8):
+def _leak_check(wavefn: GridWavefunction, stage: str):
     leak = wavefn.boundary_mass()
-    if leak > tolerance:
-        raise BoundaryLeakError(f"boundary probability {leak:.3e} exceeds {tolerance:.0e} "
-                                f"{stage}; enlarge the lattice")
+    if leak > 1e-8:
+        raise BoundaryLeakError(f"boundary probability {leak:.3e} exceeds 1e-08 {stage}; "
+                                "enlarge the lattice")
 
 
 def _gate(wavefn: GridWavefunction, op: TridiagonalOperator, error: float, duration: float,
@@ -172,6 +172,14 @@ def _steps_within(duration: float, time_step: float) -> int:
     return max(1, int(np.ceil(duration / time_step)))
 
 
+def _check_gate_steps(gate_steps: int, gate_duration: float, time_step: float):
+    """Engine B's substep rule: no gate substep may be longer than time_step."""
+    need = _steps_within(gate_duration, time_step)
+    if gate_steps < need:
+        raise ValueError(f"gate_steps must be at least {need}, so that no gate "
+                         "substep is longer than the time step")
+
+
 def _scan(wavefn: GridWavefunction, op: TridiagonalOperator, error: float, gate_duration: float,
           gate_steps: int, points: int, hbar: float, seed: float | None) -> OutcomeDistribution:
     """Outcome distribution from the gated norm at each candidate outcome,
@@ -190,7 +198,7 @@ def _scan(wavefn: GridWavefunction, op: TridiagonalOperator, error: float, gate_
 
 def run_stroboscopic(lattice: Lattice, plan: StroboscopicPlan, width: float,
                      gate_duration: float, mass: float, omega: float, hbar: float = 1.0,
-                     center: float = 0.0, gate_steps: int = 1, time_step: float | None = None,
+                     center: float = 0.0, gate_steps: int = 1, time_step: float = 0.000625,
                      outcome_points: int = 129,
                      scan_at: set[int] | None = None) -> list[ChainRecord]:
     """Full grid simulation of the plan, starting from a Gaussian packet.
@@ -206,12 +214,7 @@ def run_stroboscopic(lattice: Lattice, plan: StroboscopicPlan, width: float,
         raise StepFilterUnsupportedError("step filters have no local gate Hamiltonian on the grid")
     if gate_duration <= 0:
         raise ValueError("gate_duration must be positive")
-    if time_step is None:
-        time_step = 0.000625 / omega if omega > 0 else 0.000625
-    need = _steps_within(gate_duration, time_step)
-    if gate_steps < need:
-        raise ValueError(f"gate_steps must be at least {need}, so that no gate substep "
-                         "is longer than time_step")
+    _check_gate_steps(gate_steps, gate_duration, time_step)
     wavefn = sample_gaussian(lattice, width, center)
     _leak_check(wavefn, "before measurement 1")
     free_op = effective_hamiltonian(lattice, mass, omega, hbar)

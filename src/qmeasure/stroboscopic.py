@@ -81,6 +81,11 @@ def qnd_commutator(basis, dt: float) -> float:
     return float(basis.hbar / (basis.mass * basis.omega) * np.sin(basis.omega * dt))
 
 
+# outcomes per chain scan; each window is sized to the measured uncertainty,
+# so the count resolves the density alike in every regime
+_SCAN_POINTS = 801
+
+
 def _seeded_scan(state: EigenState, kind: str, error: float, points: int,
                  seed: float | None) -> OutcomeDistribution:
     """Outcome scan of `state` on a self-sizing window centered on its mean."""
@@ -162,7 +167,7 @@ def _last_state(plan: StroboscopicPlan, state: EigenState) -> EigenState:
     return last
 
 
-def uncertainty_evolution(plan: StroboscopicPlan, state: EigenState, points: int = 801,
+def uncertainty_evolution(plan: StroboscopicPlan, state: EigenState,
                           scan_at: set[int] | None = None) -> list[ChainRecord]:
     """Scan the measurements of the plan in sequence.
 
@@ -173,7 +178,7 @@ def uncertainty_evolution(plan: StroboscopicPlan, state: EigenState, points: int
     window is seeded from the previous scan's uncertainty.
     """
     def scan(s: EigenState, seed):
-        dist = _seeded_scan(s.normalized(), plan.filter_kind, plan.error, points, seed)
+        dist = _seeded_scan(s.normalized(), plan.filter_kind, plan.error, _SCAN_POINTS, seed)
         return dist.delta_a_eff, dist.a_tilde
 
     return _scan_chain(plan, state.normalized(), _eigen_advance(plan, state.basis), scan,
@@ -191,7 +196,7 @@ def apply_chain(plan: StroboscopicPlan, state: EigenState, final_a: float) -> Ei
 
 
 def nth_outcome_distribution(plan: StroboscopicPlan, state: EigenState,
-                             points: int = 801) -> OutcomeDistribution:
+                             points: int = _SCAN_POINTS) -> OutcomeDistribution:
     """Outcome distribution of the final (N-th) measurement of the plan."""
     return _seeded_scan(_last_state(plan, state).normalized(), plan.filter_kind, plan.error,
                         points, None)
@@ -211,8 +216,7 @@ class AsymptoticResult(ChainRecord):
     reference: float
 
 
-def asymptotic_uncertainty(plan: StroboscopicPlan, state: EigenState,
-                           points: int = 801) -> AsymptoticResult:
+def asymptotic_uncertainty(plan: StroboscopicPlan, state: EigenState) -> AsymptoticResult:
     """Record of the last measurement, scanning only n = N-2 and n = N.
 
     Intermediate measurements are imposed without scanning, so a length-N
@@ -222,7 +226,7 @@ def asymptotic_uncertainty(plan: StroboscopicPlan, state: EigenState,
     width (possible at quarter-period intervals) still count as stabilized.
     """
     N = plan.measurements
-    *head, last = uncertainty_evolution(plan, state, points, scan_at={N - 2, N})
+    *head, last = uncertainty_evolution(plan, state, scan_at={N - 2, N})
     reference = head[0].delta_a_eff if head else float("nan")
     stabilized = bool(head and abs(last.delta_a_eff - reference) <= 0.01 * last.delta_a_eff)
     return AsymptoticResult(**vars(last), stabilized=stabilized, reference=reference)
@@ -266,11 +270,10 @@ def sweep_quiescent_time(
     error: float = 1.0,
     results: str | tuple = "constant",
     result_value: float = 0.0,
-    points: int = 801,
 ) -> UncertaintyCurve:
     """Asymptotic uncertainty over a grid of quiescent intervals."""
     intervals = np.asarray(intervals, dtype=float)
     return UncertaintyCurve(intervals, state.basis.period, tuple(
         asymptotic_uncertainty(StroboscopicPlan(float(dt), measurements, filter_kind, error,
-                                                results, result_value), state, points)
+                                                results, result_value), state)
         for dt in intervals))

@@ -1,6 +1,7 @@
 import json
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +45,19 @@ def test_unknown_keys_rejected():
         config_from_mapping({"plan": {"cadence": 3}})
     with pytest.raises(ConfigError, match="numerics.lattice.spacing"):
         config_from_mapping({"numerics": {"lattice": {"spacing": 0.1}}})
+    # removed keys: the outcome grids are sized by the routines that scan them
+    for key in ("outcome_points", "pde_outcome_points"):
+        with pytest.raises(ConfigError, match=f"unknown configuration key 'numerics.{key}'"):
+            config_from_mapping({"numerics": {key: 801}})
+
+
+def test_readme_config_example_loads():
+    """The README's example config file holds only keys the harness accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    cfg = config_from_mapping(json.loads(example))
+    assert cfg.output.formats == ("csv", "json", "svg")
 
 
 def test_type_coercion():
@@ -87,13 +101,24 @@ def test_object_errors_name_their_section(mapping, section):
         config_from_mapping(mapping)
 
 
+def test_gate_substeps_checked_only_for_engine_b():
+    """Engines A and C have no lattice time step to stay within."""
+    cfg = config_from_mapping({"numerics": {"gate_fraction": 0.01}})
+    assert cfg.engines == ("A", "C")
+
+
 def test_gate_substeps_within_time_step():
     """At gate_fraction 0.01 the gate lasts 0.0628, over 100 default time steps."""
     with pytest.raises(ConfigError, match="at least 101"):
-        config_from_mapping({"numerics": {"gate_fraction": 0.01}})
-    config_from_mapping({"numerics": {"gate_fraction": 0.01, "gate_steps": 101}})
-    with pytest.raises(ConfigError):
-        config_from_mapping({"numerics": {"gate_steps": 0}})
+        config_from_mapping({"numerics": {"gate_fraction": 0.01}, "engines": ["A", "B"]})
+    config_from_mapping({"numerics": {"gate_fraction": 0.01, "gate_steps": 101},
+                         "engines": ["A", "B"]})
+
+
+@pytest.mark.parametrize("engines", [["A", "C"], ["B"]])
+def test_gate_steps_positive(engines):
+    with pytest.raises(ConfigError, match="gate_steps must be at least 1"):
+        config_from_mapping({"numerics": {"gate_steps": 0}, "engines": engines})
 
 
 def test_results_sequence_length():

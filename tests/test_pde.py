@@ -230,6 +230,13 @@ def test_gate_substeps_no_longer_than_time_step():
         run_stroboscopic(COARSE, plan, 5.0, 0.05, MASS, OMEGA, gate_steps=1)
 
 
+def test_default_time_step_is_absolute():
+    """The default time step is the configuration's 0.000625 at any omega."""
+    plan = StroboscopicPlan(np.pi / 2.0, 1)
+    with pytest.raises(ValueError, match="at least 80,"):
+        run_stroboscopic(COARSE, plan, 5.0, 0.05, MASS, 2.0 * OMEGA, gate_steps=1)
+
+
 def test_single_measurement_uncertainty():
     plan = StroboscopicPlan(T / 2.0, 1)
     recs = run_stroboscopic(COARSE, plan, 5.0, 1e-5 * T, MASS, OMEGA,
