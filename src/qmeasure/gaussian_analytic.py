@@ -165,6 +165,7 @@ def stroboscopic_widths(
     mass: float,
     omega: float,
     hbar: float = 1.0,
+    *,
     center: float = 0.0,
     results: str | Sequence[float] = "constant",
     result_value: float = 0.0,

@@ -9,6 +9,12 @@ gates), C (eigenbasis filter-matrix chains). With `final` set an adapter
 need only scan the last measurement, whose record comes last. `run`,
 `sweep` and `cross_validate` go through that table alone, and `_records`
 turns chain records into ResultRecords in one place.
+Engine B's chains, the costly ones, are spread over the CPUs the process
+may run on: k = min(plans, CPUs) shares, dealt round-robin from the longest
+interval down. The caller runs share 0, the costliest, while k - 1 spawned
+helper processes, each about 0.5 s to start, run the rest; with k = 1 no
+helper starts. The output bytes do not depend on the CPU count, but
+in-process tracing (perfbench's `--trace 1`) sees only the caller's share.
 Emission is deterministic: fixed column order, fixed float formatting, a
 content hash of the settings in every JSON document, and no wall-clock
 fields in any artifact.
@@ -18,6 +24,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -306,14 +313,57 @@ def _engine_a(cfg, plans, final: bool) -> list:
             for plan in plans]
 
 
-def _engine_b(cfg, plans, final: bool) -> list:
+def _chain_b(cfg, plan: StroboscopicPlan, final: bool) -> list:
     u, num = cfg.units, cfg.numerics
     lat = Lattice(num.lattice.x_min, num.lattice.x_max, num.lattice.points)
-    return [run_stroboscopic(lat, plan, cfg.state.width, num.gate_fraction * _period(cfg),
-                             u.mass, u.frequency, u.hbar, center=cfg.state.center,
-                             gate_steps=num.gate_steps, time_step=num.lattice.time_step,
-                             scan_at={plan.measurements} if final else None)
-            for plan in plans]
+    return run_stroboscopic(lat, plan, cfg.state.width, num.gate_fraction * _period(cfg),
+                            u.mass, u.frequency, u.hbar, center=cfg.state.center,
+                            gate_steps=num.gate_steps, time_step=num.lattice.time_step,
+                            scan_at={plan.measurements} if final else None)
+
+
+def _chains_b(cfg, final: bool, plans) -> list:
+    """Engine B's chains of `plans`, in order, up to the first that raises:
+    one list of ChainRecords per plan, then that chain's exception if one
+    did, so that the caller can raise the first failure in plan order."""
+    chains = []
+    for plan in plans:
+        try:
+            chains.append(_chain_b(cfg, plan, final))
+        except Exception as exc:  # re-raised by _engine_b
+            chains.append(exc)
+            break
+    return chains
+
+
+def _engine_b(cfg, plans, final: bool) -> list:
+    # the chains are independent and hold the GIL through their
+    # Crank-Nicolson solves, so they are spread over processes (see the
+    # module docstring)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    k = min(len(plans), cpus or 1)
+    if k == 1:
+        return [_chain_b(cfg, plan, final) for plan in plans]
+    # imported here, so that a run with one share loads no multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    costliest = sorted(range(len(plans)), key=lambda i: plans[i].interval, reverse=True)
+    shares = [sorted(costliest[s::k]) for s in range(k)]
+    with ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = [pool.submit(_chains_b, cfg, final, [plans[i] for i in share])
+                   for share in shares[1:]]
+        done = [_chains_b(cfg, final, [plans[i] for i in shares[0]])]
+        done += [f.result() for f in futures]
+    # a share that raised holds nothing after its exception, and every
+    # plan it skipped comes after that exception in plan order
+    chains = {}
+    for share, out in zip(shares, done):
+        chains.update(zip(share, out))
+    for i in range(len(plans)):
+        if isinstance(chains[i], Exception):
+            raise chains[i]
+    return [chains[i] for i in range(len(plans))]
 
 
 def _engine_c(cfg, plans, final: bool) -> list:

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -154,6 +155,24 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     })
     assert main(["run", "--config", cfg]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_sweep_chain_failure_exit_code(tmp_path, capsys):
+    # the packet reaches the walls of this lattice before any measurement,
+    # in every chain of the sweep, whichever process runs it
+    cfg = _write_config(tmp_path, {
+        "engines": ["B"],
+        "plan": {"measurements": 3},
+        "numerics": {"gate_steps": 50,
+                     "lattice": {"x_min": -12.0, "x_max": 12.0, "points": 481}},
+        "sweep": {"points": 3},
+        "output": {"directory": str(tmp_path / "out")},
+    })
+    assert main(["sweep", "--config", cfg]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: BoundaryLeakError: boundary probability 1.121e-04 exceeds "
+        "1e-08 before measurement 1; enlarge the lattice\n")
+    assert multiprocessing.active_children() == []
 
 
 def test_out_override(tmp_path, capsys):

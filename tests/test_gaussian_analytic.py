@@ -170,3 +170,6 @@ def test_imposed_result_policies():
         stroboscopic_widths(5.0, T / 2.0, 5, 1.0, 1e-5 * T, MASS, OMEGA, results="sway")
     with pytest.raises(ValueError):
         stroboscopic_widths(5.0, T / 2.0, 5, 1.0, 1e-5 * T, MASS, OMEGA, results=[0.0])
+    # center, results and result_value are keyword-only
+    with pytest.raises(TypeError):
+        stroboscopic_widths(5.0, T / 2.0, 5, 1.0, 1e-5 * T, MASS, OMEGA, 1.0, 0.0)

@@ -9,6 +9,7 @@ import pytest
 from qmeasure import (
     ConfigError,
     ExperimentConfig,
+    Lattice,
     StroboscopicPlan,
     TruncationError,
     asymptotic_uncertainty,
@@ -20,6 +21,7 @@ from qmeasure import (
     emit_distribution,
     load_config,
     run,
+    run_stroboscopic,
     sweep,
     validate_config,
 )
@@ -230,18 +232,28 @@ def test_sweep_every_engine(tmp_path, packet):
     cfg = config_from_mapping({
         "engines": ["A", "B", "C"],
         "plan": {"measurements": 4},
-        "sweep": {"start_over_period": 0.25, "stop_over_period": 0.5, "points": 2},
+        # three points: on two or more CPUs engine B's chains go out in
+        # uneven shares, the caller's holding the longest and the shortest
+        "sweep": {"start_over_period": 0.25, "stop_over_period": 0.5, "points": 3},
         "numerics": {"gate_steps": 50, "lattice": {"points": 1201}},
         "output": {"directory": str(tmp_path)},
     })
     records = sweep(cfg)
-    assert [r.engine for r in records] == ["A", "A", "B", "B", "C", "C"]
+    assert [r.engine for r in records] == ["A"] * 3 + ["B"] * 3 + ["C"] * 3
     assert all(r.n == 4 for r in records)
-    exact = {r.dt_over_T: r.delta_a_eff for r in records[:2]}
-    for r in records[2:]:
+    exact = {r.dt_over_T: r.delta_a_eff for r in records[:3]}
+    for r in records[3:]:
         assert abs(r.delta_a_eff - exact[r.dt_over_T]) <= 0.10 * exact[r.dt_over_T]
+    # engine B's rows are the same numbers, in plan order, however the
+    # chains were spread over processes
+    for r in records[3:6]:
+        plan = StroboscopicPlan(r.dt_over_T * 2.0 * np.pi, 4)
+        res = run_stroboscopic(Lattice(points=1201), plan, 5.0, 1e-5 * 2.0 * np.pi, 0.5, 1.0,
+                               gate_steps=50, scan_at={4})[-1]
+        assert (r.delta_a_eff, r.a_tilde, r.norm) == (res.delta_a_eff, res.a_tilde,
+                                                      res.norm_squared)
     # the packet fixture is the default config's initial state
-    for r in records[4:]:
+    for r in records[6:]:
         res = asymptotic_uncertainty(StroboscopicPlan(r.dt_over_T * 2.0 * np.pi, 4), packet)
         assert (r.delta_a_eff, r.a_tilde, r.norm) == (res.delta_a_eff, res.a_tilde,
                                                       res.norm_squared)
