@@ -34,7 +34,7 @@ import numpy as np
 from .collapse import OutcomeDistribution
 from .gaussian_analytic import stroboscopic_widths
 from .oscillator import OscillatorBasis, basis_quadrature, project_gaussian
-from .pde import Lattice, _check_gate_steps, run_stroboscopic
+from .pde import TIME_STEP, Lattice, _check_gate_steps, run_stroboscopic
 from .stroboscopic import (StroboscopicPlan, asymptotic_uncertainty, nth_outcome_distribution,
                            uncertainty_evolution)
 from .weights import WeightSpec
@@ -81,10 +81,10 @@ class PlanConfig:
 
 @dataclass(frozen=True)
 class LatticeConfig:
-    x_min: float = -60.0
-    x_max: float = 60.0
-    points: int = 4801
-    time_step: float = 0.000625
+    x_min: float = Lattice.x_min
+    x_max: float = Lattice.x_max
+    points: int = Lattice.points
+    time_step: float = TIME_STEP
 
 
 @dataclass(frozen=True)

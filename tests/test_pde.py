@@ -15,6 +15,7 @@ from qmeasure import (
     measurement_coupling,
     run_stroboscopic,
     sample_gaussian,
+    stroboscopic_widths,
 )
 from qmeasure.pde import TridiagonalOperator, _gate, _scan
 
@@ -43,16 +44,22 @@ def test_sample_gaussian_moments():
 
 
 def _absorbing(lat, center, coupling):
-    """The Hamiltonian plus the absorptive well -i kappa (x - center)^2 (hbar = 1):
-    a complex diagonal for the Crank-Nicolson kernel."""
+    """The Hamiltonian plus the absorptive well W = -i kappa (x - center)^2 (hbar = 1),
+    added to the pencil as M += B W: complex diagonals for the Crank-Nicolson kernel."""
     op = effective_hamiltonian(lat, MASS, OMEGA)
-    return TridiagonalOperator(op.diagonal - 1j * coupling * (lat.x - center) ** 2,
-                               op.off_diagonal)
+    well = -1j * coupling * (lat.x - center) ** 2
+    return TridiagonalOperator(op.lower + well[:-1] / 12.0, op.diagonal + well * (10.0 / 12.0),
+                               op.upper + well[1:] / 12.0)
 
 
 def _dense(op):
-    n = op.diagonal.size
-    return np.diag(op.diagonal) + op.off_diagonal * (np.eye(n, k=1) + np.eye(n, k=-1))
+    """M as a dense matrix."""
+    return np.diag(op.diagonal) + np.diag(op.upper, 1) + np.diag(op.lower, -1)
+
+
+def _mass(n):
+    """B = tridiag(1, 10, 1)/12 as a dense matrix."""
+    return (10.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / 12.0
 
 
 def test_apply_hamiltonian_matches_dense():
@@ -60,7 +67,19 @@ def test_apply_hamiltonian_matches_dense():
     lat = Lattice(-5.0, 5.0, 64)
     op = _absorbing(lat, 0.3, 2.0)
     v = rng.normal(size=64) + 1j * rng.normal(size=64)
-    assert np.allclose(apply_hamiltonian(op, v), _dense(op) @ v, atol=1e-12)
+    assert np.allclose(apply_hamiltonian(op, v), solve(_mass(64), _dense(op) @ v), atol=1e-12)
+
+
+def test_spectrum_is_fourth_order():
+    """The lowest 40 levels on a dx = 0.05 lattice sit within 1e-3 of
+    (n + 1/2) hbar omega. The compact stencil's error grows as (k dx)^4/240
+    and reaches 5.0e-4 at n = 39; the three-point stencil's, (k dx)^2/12,
+    reaches 0.122 there."""
+    lat = Lattice(-20.0, 20.0, 801)
+    op = effective_hamiltonian(lat, MASS, OMEGA)
+    dense = np.column_stack([apply_hamiltonian(op, e) for e in np.eye(lat.points, dtype=complex)])
+    levels = np.linalg.eigvalsh(dense)[:40]
+    assert np.max(np.abs(levels - (np.arange(40) + 0.5))) < 1e-3
 
 
 def test_hamiltonian_on_ground_state():
@@ -92,33 +111,35 @@ def test_evolution_does_not_mutate_input():
 
 
 def _banded_reference(op, values, dt, steps, hbar=1.0):
-    """Crank-Nicolson as an explicit right-hand side plus a banded solve per step."""
+    """Crank-Nicolson as an explicit right-hand side (B - zM) psi plus a banded
+    solve by B + zM per step."""
     z = 1j * dt / (2.0 * hbar)
-    ab = np.zeros((3, values.size), dtype=complex)
-    ab[0, 1:] = z * op.off_diagonal
-    ab[1, :] = 1.0 + z * op.diagonal
-    ab[2, :-1] = z * op.off_diagonal
+    n = values.size
+    mass = np.zeros((3, n), dtype=complex)
+    mass[0, 1:], mass[1, :], mass[2, :-1] = 1.0 / 12.0, 10.0 / 12.0, 1.0 / 12.0
+    pencil = np.zeros((3, n), dtype=complex)
+    pencil[0, 1:], pencil[1, :], pencil[2, :-1] = op.upper, op.diagonal, op.lower
     psi = values
     for _ in range(steps):
-        explicit = ab[1] * psi
-        explicit[:-1] += ab[0, 1:] * psi[1:]
-        explicit[1:] += ab[2, :-1] * psi[:-1]
-        psi = solve_banded((1, 1), ab, 2.0 * psi - explicit)
+        explicit = (mass[1] - z * pencil[1]) * psi
+        explicit[:-1] += (mass[0, 1:] - z * pencil[0, 1:]) * psi[1:]
+        explicit[1:] += (mass[2, :-1] - z * pencil[2, :-1]) * psi[:-1]
+        psi = solve_banded((1, 1), mass + z * pencil, explicit)
     return psi
 
 
 def test_gated_steps_match_dense_iteration():
-    """With the non-Hermitian gate on, each step is solve(1 + zH, (1 - zH) psi)."""
+    """With the non-Hermitian gate on, each step is solve(B + zM, (B - zM) psi)."""
     rng = np.random.default_rng(11)
     lat = Lattice(-5.0, 5.0, 64)
     op = _absorbing(lat, 0.3, 2.0)
-    dense = _dense(op)
+    dense, mass = _dense(op), _mass(64)
     dt, steps = 0.01, 7
     z = 1j * dt / 2.0
     psi = rng.normal(size=64) + 1j * rng.normal(size=64)
     expected = psi
     for _ in range(steps):
-        expected = solve(np.eye(64) + z * dense, (np.eye(64) - z * dense) @ expected)
+        expected = solve(mass + z * dense, (mass - z * dense) @ expected)
     values = crank_nicolson_evolve(op, psi, dt, steps)
     assert np.max(np.abs(values - expected)) < 1e-12 * np.max(np.abs(expected))
 
@@ -135,11 +156,12 @@ def test_gate_matches_banded_formulation():
 
 
 def test_singular_step_matrix_raises():
-    """A zero pivot in 1 + zH is reported, not divided through."""
-    dt = 0.01
-    diagonal = np.ones(16, dtype=complex)
-    diagonal[5] = 2j / dt
-    op = TridiagonalOperator(diagonal, 0j)
+    """A zero pivot in B + zM is reported, not divided through: row 5 of M
+    is 6i times row 5 of B, so at dt = 1/3 (z = i/6) row 5 of B + zM vanishes."""
+    dt = 1.0 / 3.0
+    lower, diagonal, upper = (np.zeros(k, dtype=complex) for k in (15, 16, 15))
+    lower[4], diagonal[5], upper[5] = 0.5j, 5j, 0.5j
+    op = TridiagonalOperator(lower, diagonal, upper)
     with pytest.raises(np.linalg.LinAlgError):
         crank_nicolson_evolve(op, np.ones(16, dtype=complex), dt, 3)
 
@@ -163,8 +185,9 @@ def test_free_particle_spreading():
     rho = np.abs(values) ** 2
     var = np.trapezoid(COARSE.x**2 * rho, dx=COARSE.dx)
     sigma_sq = 1.0 * (1.0 + (t / (MASS * 1.0)) ** 2)
-    # the three-point stencil underestimates high-k group velocity by
-    # ~(k dx)^2/6, a dx^2/(2 sigma0^2) ~ 1e-3 deficit on the t^2 term
+    # the compact stencil's group-velocity error is fourth order in k dx:
+    # the width falls about 2e-6 short, most of it Crank-Nicolson's time
+    # error (a three-point stencil fell about 1e-3 short)
     assert 2.0 * var == pytest.approx(sigma_sq, rel=2e-3)
 
 
@@ -244,6 +267,15 @@ def test_single_measurement_uncertainty():
     assert len(recs) == 1
     assert recs[0].delta_a_eff == pytest.approx(SQRT26, abs=1e-2)
     assert recs[0].a_tilde == pytest.approx(0.0, abs=1e-6)
+
+
+def test_headline_point_within_a_tenth_percent():
+    """At dt = T/2, n = 16, the default lattice reads engine A's width to
+    0.1% (+0.019%; a three-point stencil read +0.75%)."""
+    plan = StroboscopicPlan(T / 2.0, 16)
+    rec = run_stroboscopic(Lattice(), plan, 5.0, 1e-5 * T, MASS, OMEGA, scan_at={16})[-1]
+    exact = stroboscopic_widths(5.0, T / 2.0, 16, 1.0, 1e-5 * T, MASS, OMEGA)[-1]
+    assert rec.delta_a_eff == pytest.approx(exact.delta_a_eff, rel=1e-3)
 
 
 def test_scan_subset():
