@@ -134,12 +134,9 @@ class OutcomeDistribution:
     a_tilde: float
     delta_a_eff: float
     boundary_mass: float
-    kind: str = "gaussian"
-    error: float = 1.0
 
     @classmethod
-    def from_norms(cls, outcomes: np.ndarray, norms_squared: np.ndarray, kind: str,
-                   error: float) -> "OutcomeDistribution":
+    def from_norms(cls, outcomes: np.ndarray, norms_squared: np.ndarray) -> "OutcomeDistribution":
         """Summarize raw collapsed norms ||w_a psi||^2 into a distribution,
         P(a) ~ ||w_a psi||^2 (the Born rule in the sharp-filter limit).
         GridCoverageError when the two end samples carry over 1e-6 of it."""
@@ -157,7 +154,7 @@ class OutcomeDistribution:
             )
         a_tilde = _refine_peak(outcomes, density)
         daeff = float(np.sqrt(2.0 * np.trapezoid((outcomes - a_tilde) ** 2 * density, outcomes)))
-        return cls(outcomes, density, a_tilde, daeff, boundary, kind, error)
+        return cls(outcomes, density, a_tilde, daeff, boundary)
 
 
 def _refine_peak(outcomes: np.ndarray, density: np.ndarray) -> float:
@@ -201,7 +198,7 @@ def outcome_distribution(
     outcomes = np.linspace(center - halfwidth, center + halfwidth, int(points))
     amps = outcome_amplitudes(work, kind, error, outcomes)
     norms2 = np.sum(np.abs(amps) ** 2, axis=1)
-    return OutcomeDistribution.from_norms(outcomes, norms2, kind, error)
+    return OutcomeDistribution.from_norms(outcomes, norms2)
 
 
 def _self_sizing_scan(scan, error: float, var: float, seed: float | None) -> OutcomeDistribution:

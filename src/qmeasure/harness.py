@@ -2,19 +2,20 @@
 
 A single JSON-serializable configuration describes the physical setup, the
 measurement plan, per-engine numerics, and the output layout. `ENGINES`
-maps each engine letter to an adapter with one signature,
-(cfg, plans, final) -> one list of ChainRecords per StroboscopicPlan:
-A (closed-form Gaussian packets), B (grid Crank-Nicolson with Strang-split
-gates), C (eigenbasis filter-matrix chains). With `final` set an adapter
-need only scan the last measurement, whose record comes last. `run`,
-`sweep` and `cross_validate` go through that table alone, and `_records`
-turns chain records into ResultRecords in one place.
-Engine B's chains, the costly ones, are spread over the CPUs the process
-may run on: k = min(plans, CPUs) shares, dealt round-robin from the longest
-interval down. The caller runs share 0, the costliest, while k - 1 spawned
-helper processes, each about 0.5 s to start, run the rest; with k = 1 no
-helper starts. The output bytes do not depend on the CPU count, but
-in-process tracing (perfbench's `--trace 1`) sees only the caller's share.
+maps each engine letter to an adapter that computes one chain,
+(cfg, plan, final) -> list of ChainRecords: A (closed-form Gaussian
+packets), B (grid Crank-Nicolson with Strang-split gates), C (eigenbasis
+filter-matrix chains). With `final` set an adapter need only scan the last
+measurement, whose record comes last. `run`, `sweep` and `cross_validate`
+go through that table alone, and `_records` turns chain records into
+ResultRecords in one place.
+The chains of a plan list are independent, so `_chains` spreads every
+engine's over k = min(plans, CPUs) worker processes, started by the
+platform's default method, longest interval first; their records come back
+in plan order, and so does the first failure. With k = 1 (one CPU, or a
+`run` or `validate`, whose plan is one chain) the chains run in the calling
+process. The output bytes do not depend on the CPU count, but in-process
+tracing (perfbench's `--trace 1`) sees no chain that a worker runs.
 Emission is deterministic: fixed column order, fixed float formatting, a
 content hash of the settings in every JSON document, and no wall-clock
 fields in any artifact.
@@ -33,7 +34,7 @@ import numpy as np
 
 from .collapse import OutcomeDistribution
 from .gaussian_analytic import stroboscopic_widths
-from .oscillator import OscillatorBasis, basis_quadrature, project_gaussian
+from .oscillator import OscillatorBasis, project_gaussian
 from .pde import TIME_STEP, Lattice, _check_gate_steps, run_stroboscopic
 from .stroboscopic import (StroboscopicPlan, asymptotic_uncertainty, nth_outcome_distribution,
                            uncertainty_evolution)
@@ -84,13 +85,11 @@ class LatticeConfig:
     x_min: float = Lattice.x_min
     x_max: float = Lattice.x_max
     points: int = Lattice.points
-    time_step: float = TIME_STEP
 
 
 @dataclass(frozen=True)
 class NumericsConfig:
     levels: int = 64
-    quadrature_points: int = 800
     gate_fraction: float = 1e-5
     gate_steps: int = 1
     lattice: LatticeConfig = field(default_factory=LatticeConfig)
@@ -226,17 +225,13 @@ def validate_config(cfg: "ExperimentConfig") -> "ExperimentConfig":
     _section("filter", WeightSpec, flt.kind, 0.0, flt.error)
     _section("plan", _plan, cfg, cfg.plan.interval_over_period * _period(cfg))
     _section("numerics.lattice", Lattice, lat.x_min, lat.x_max, lat.points)
-    if lat.time_step <= 0:
-        raise ConfigError("numerics.lattice.time_step must be positive")
-    if num.quadrature_points < 32:
-        raise ConfigError("numerics.quadrature_points must be at least 32")
     if not 0 < num.gate_fraction < 0.1:
         raise ConfigError("numerics.gate_fraction must lie in (0, 0.1)")
     if num.gate_steps < 1:
         raise ConfigError("numerics.gate_steps must be at least 1")
     if "B" in cfg.engines:
         _section("numerics", _check_gate_steps, num.gate_steps,
-                 num.gate_fraction * _period(cfg), lat.time_step)
+                 num.gate_fraction * _period(cfg), TIME_STEP)
     if sweep.start_over_period <= 0 or sweep.stop_over_period < sweep.start_over_period:
         raise ConfigError("sweep: need 0 < start_over_period <= stop_over_period")
     if sweep.points < 2:
@@ -286,9 +281,7 @@ def _initial_state(cfg):
     """The configured packet projected onto engine C's eigenbasis."""
     u, num = cfg.units, cfg.numerics
     basis = OscillatorBasis(u.mass, u.frequency, num.levels, u.hbar)
-    reach = abs(cfg.state.center) + 8.0 * cfg.state.width
-    quad = basis_quadrature(basis, reach=reach, points=num.quadrature_points)
-    state, captured = project_gaussian(basis, cfg.state.width, cfg.state.center, quad=quad)
+    state, captured = project_gaussian(basis, cfg.state.width, cfg.state.center)
     if captured < 0.999:
         raise TruncationError(
             f"levels={num.levels} captures only {captured:.6f} of the initial packet; "
@@ -303,76 +296,46 @@ def _plan(cfg, interval: float) -> StroboscopicPlan:
                             cfg.filter.error, p.results, p.result_value)
 
 
-def _engine_a(cfg, plans, final: bool) -> list:
+def _engine_a(cfg, plan: StroboscopicPlan, final: bool) -> list:
     # the closed form is cheap: it always walks the whole chain
     u = cfg.units
     tau = cfg.numerics.gate_fraction * _period(cfg)
-    return [stroboscopic_widths(cfg.state.width, plan.interval, plan.measurements, plan.error,
-                                tau, u.mass, u.frequency, u.hbar, center=cfg.state.center,
-                                results=plan.results, result_value=plan.result_value)
-            for plan in plans]
+    return stroboscopic_widths(cfg.state.width, plan.interval, plan.measurements, plan.error,
+                               tau, u.mass, u.frequency, u.hbar, center=cfg.state.center,
+                               results=plan.results, result_value=plan.result_value)
 
 
-def _chain_b(cfg, plan: StroboscopicPlan, final: bool) -> list:
+def _engine_b(cfg, plan: StroboscopicPlan, final: bool) -> list:
     u, num = cfg.units, cfg.numerics
     lat = Lattice(num.lattice.x_min, num.lattice.x_max, num.lattice.points)
     return run_stroboscopic(lat, plan, cfg.state.width, num.gate_fraction * _period(cfg),
                             u.mass, u.frequency, u.hbar, center=cfg.state.center,
-                            gate_steps=num.gate_steps, time_step=num.lattice.time_step,
+                            gate_steps=num.gate_steps,
                             scan_at={plan.measurements} if final else None)
 
 
-def _chains_b(cfg, final: bool, plans) -> list:
-    """Engine B's chains of `plans`, in order, up to the first that raises:
-    one list of ChainRecords per plan, then that chain's exception if one
-    did, so that the caller can raise the first failure in plan order."""
-    chains = []
-    for plan in plans:
-        try:
-            chains.append(_chain_b(cfg, plan, final))
-        except Exception as exc:  # re-raised by _engine_b
-            chains.append(exc)
-            break
-    return chains
-
-
-def _engine_b(cfg, plans, final: bool) -> list:
-    # the chains are independent and hold the GIL through their
-    # Crank-Nicolson solves, so they are spread over processes (see the
-    # module docstring)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    k = min(len(plans), cpus or 1)
-    if k == 1:
-        return [_chain_b(cfg, plan, final) for plan in plans]
-    # imported here, so that a run with one share loads no multiprocessing
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    costliest = sorted(range(len(plans)), key=lambda i: plans[i].interval, reverse=True)
-    shares = [sorted(costliest[s::k]) for s in range(k)]
-    with ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("spawn")) as pool:
-        futures = [pool.submit(_chains_b, cfg, final, [plans[i] for i in share])
-                   for share in shares[1:]]
-        done = [_chains_b(cfg, final, [plans[i] for i in shares[0]])]
-        done += [f.result() for f in futures]
-    # a share that raised holds nothing after its exception, and every
-    # plan it skipped comes after that exception in plan order
-    chains = {}
-    for share, out in zip(shares, done):
-        chains.update(zip(share, out))
-    for i in range(len(plans)):
-        if isinstance(chains[i], Exception):
-            raise chains[i]
-    return [chains[i] for i in range(len(plans))]
-
-
-def _engine_c(cfg, plans, final: bool) -> list:
+def _engine_c(cfg, plan: StroboscopicPlan, final: bool) -> list:
     state = _initial_state(cfg)
-    return [[asymptotic_uncertainty(plan, state)] if final else uncertainty_evolution(plan, state)
-            for plan in plans]
+    return [asymptotic_uncertainty(plan, state)] if final else uncertainty_evolution(plan, state)
 
 
 ENGINES = {"A": _engine_a, "B": _engine_b, "C": _engine_c}
+
+
+def _chains(adapter, cfg, plans, final: bool) -> list:
+    """adapter(cfg, plan, final) for each plan, in plan order, spread over
+    the CPUs as the module docstring states."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    k = min(len(plans), cpus or 1)
+    if k == 1:
+        return [adapter(cfg, plan, final) for plan in plans]
+    # imported here, so that a run in one process loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    longest_first = sorted(range(len(plans)), key=lambda i: -plans[i].interval)
+    with ProcessPoolExecutor(k) as pool:
+        futures = {i: pool.submit(adapter, cfg, plans[i], final) for i in longest_first}
+        return [futures[i].result() for i in range(len(plans))]
 
 
 def _records(cfg: "ExperimentConfig", ratios, final: bool) -> list:
@@ -381,7 +344,7 @@ def _records(cfg: "ExperimentConfig", ratios, final: bool) -> list:
     plans = [_plan(cfg, r * _period(cfg)) for r in ratios]
     records = []
     for engine in cfg.engines:
-        for r, chain in zip(ratios, ENGINES[engine](cfg, plans, final)):
+        for r, chain in zip(ratios, _chains(ENGINES[engine], cfg, plans, final)):
             records.extend(ResultRecord(engine, cfg.filter.kind, r, c.n, c.delta_a_eff,
                                         c.a_tilde, c.norm_squared)
                            for c in (chain[-1:] if final else chain))

@@ -216,7 +216,7 @@ def _scan(wavefn: GridWavefunction, op: TridiagonalOperator, error: float, gate_
         outcomes = np.linspace(mean - hw, mean + hw, points)
         norms = [GridWavefunction(wavefn.lattice, gate(float(a), close=False)).norm_squared()
                  for a in outcomes]
-        return OutcomeDistribution.from_norms(outcomes, norms, "gaussian", error)
+        return OutcomeDistribution.from_norms(outcomes, norms)
 
     return _self_sizing_scan(scan, error, var, seed)
 

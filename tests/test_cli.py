@@ -157,21 +157,27 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_sweep_chain_failure_exit_code(tmp_path, capsys):
-    # the packet reaches the walls of this lattice before any measurement,
-    # in every chain of the sweep, whichever process runs it
-    cfg = _write_config(tmp_path, {
-        "engines": ["B"],
+@pytest.mark.parametrize("mapping, message", [
+    # the packet reaches the walls of this lattice before any measurement
+    ({"engines": ["B"],
+      "numerics": {"gate_steps": 50,
+                   "lattice": {"x_min": -12.0, "x_max": 12.0, "points": 481}}},
+     "BoundaryLeakError: boundary probability 1.121e-04 exceeds 1e-08 before "
+     "measurement 1; enlarge the lattice"),
+    # 20 levels cannot hold the initial packet
+    ({"engines": ["C"], "numerics": {"levels": 20}},
+     "TruncationError: levels=20 captures only 0.987648 of the initial packet; "
+     "raise numerics.levels"),
+], ids=["B", "C"])
+def test_sweep_chain_failure_exit_code(tmp_path, capsys, mapping, message):
+    # every chain of the sweep fails, whichever process runs it
+    cfg = _write_config(tmp_path, mapping | {
         "plan": {"measurements": 3},
-        "numerics": {"gate_steps": 50,
-                     "lattice": {"x_min": -12.0, "x_max": 12.0, "points": 481}},
         "sweep": {"points": 3},
         "output": {"directory": str(tmp_path / "out")},
     })
     assert main(["sweep", "--config", cfg]) == 3
-    assert capsys.readouterr().err == (
-        "numerical failure: BoundaryLeakError: boundary probability 1.121e-04 exceeds "
-        "1e-08 before measurement 1; enlarge the lattice\n")
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
     assert multiprocessing.active_children() == []
 
 

@@ -148,7 +148,7 @@ def test_step_scan_on_packet(packet):
 def test_from_norms_gaussian_peak():
     a = np.linspace(-6.0, 8.0, 1401)
     norms = np.exp(-((a - 1.0) ** 2) / 2.0)
-    dist = OutcomeDistribution.from_norms(a, norms, "gaussian", 1.0)
+    dist = OutcomeDistribution.from_norms(a, norms)
     assert dist.a_tilde == pytest.approx(1.0, abs=1e-9)
     # delta_a_eff^2 = 2 var of the density
     assert dist.delta_a_eff == pytest.approx(np.sqrt(2.0), rel=1e-6)
@@ -157,7 +157,7 @@ def test_from_norms_gaussian_peak():
 def test_from_norms_off_grid_peak():
     a = np.linspace(-6.0, 8.0, 281)
     norms = np.exp(-((a - 1.017) ** 2) / 2.0)
-    dist = OutcomeDistribution.from_norms(a, norms, "gaussian", 1.0)
+    dist = OutcomeDistribution.from_norms(a, norms)
     assert dist.a_tilde == pytest.approx(1.017, abs=2e-3)
 
 
@@ -169,14 +169,14 @@ def test_near_tied_peaks_pick_the_first():
     right = int(np.argmin(np.abs(a - 0.5)))
     left = int(np.argmin(np.abs(a + 0.5)))
     norms[right] = np.nextafter(norms[left], np.inf)
-    dist = OutcomeDistribution.from_norms(a, norms, "gaussian", 1.0)
+    dist = OutcomeDistribution.from_norms(a, norms)
     assert dist.a_tilde == pytest.approx(-0.5, abs=1e-6)
 
 
 def test_from_norms_rejects_uncovered_density():
     a = np.linspace(-1.0, 1.0, 101)
     with pytest.raises(GridCoverageError):
-        OutcomeDistribution.from_norms(a, np.ones_like(a), "gaussian", 1.0)
+        OutcomeDistribution.from_norms(a, np.ones_like(a))
 
 
 def test_scan_respects_explicit_window(packet):

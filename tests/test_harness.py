@@ -22,6 +22,7 @@ from qmeasure import (
     load_config,
     run,
     run_stroboscopic,
+    stroboscopic_widths,
     sweep,
     validate_config,
 )
@@ -47,10 +48,15 @@ def test_unknown_keys_rejected():
         config_from_mapping({"plan": {"cadence": 3}})
     with pytest.raises(ConfigError, match="numerics.lattice.spacing"):
         config_from_mapping({"numerics": {"lattice": {"spacing": 0.1}}})
-    # removed keys: the outcome grids are sized by the routines that scan them
-    for key in ("outcome_points", "pde_outcome_points"):
+    # removed keys: the outcome grids are sized by the routines that scan
+    # them, the projection rule by the packet, and engine B's time step is
+    # pde.TIME_STEP
+    for key, numerics in [("outcome_points", {"outcome_points": 801}),
+                          ("pde_outcome_points", {"pde_outcome_points": 129}),
+                          ("quadrature_points", {"quadrature_points": 800}),
+                          ("lattice.time_step", {"lattice": {"time_step": 0.000625}})]:
         with pytest.raises(ConfigError, match=f"unknown configuration key 'numerics.{key}'"):
-            config_from_mapping({"numerics": {key: 801}})
+            config_from_mapping({"numerics": numerics})
 
 
 def test_readme_config_example_loads():
@@ -232,8 +238,8 @@ def test_sweep_every_engine(tmp_path, packet):
     cfg = config_from_mapping({
         "engines": ["A", "B", "C"],
         "plan": {"measurements": 4},
-        # three points: on two or more CPUs engine B's chains go out in
-        # uneven shares, the caller's holding the longest and the shortest
+        # three points: on two CPUs one worker runs two of an engine's
+        # chains and the other one
         "sweep": {"start_over_period": 0.25, "stop_over_period": 0.5, "points": 3},
         "numerics": {"gate_steps": 50, "lattice": {"points": 1201}},
         "output": {"directory": str(tmp_path)},
@@ -244,8 +250,13 @@ def test_sweep_every_engine(tmp_path, packet):
     exact = {r.dt_over_T: r.delta_a_eff for r in records[:3]}
     for r in records[3:]:
         assert abs(r.delta_a_eff - exact[r.dt_over_T]) <= 0.10 * exact[r.dt_over_T]
-    # engine B's rows are the same numbers, in plan order, however the
+    # every engine's rows are the same numbers, in plan order, however the
     # chains were spread over processes
+    for r in records[:3]:
+        res = stroboscopic_widths(5.0, r.dt_over_T * 2.0 * np.pi, 4, 1.0, 1e-5 * 2.0 * np.pi,
+                                  0.5, 1.0)[-1]
+        assert (r.delta_a_eff, r.a_tilde, r.norm) == (res.delta_a_eff, res.a_tilde,
+                                                      res.norm_squared)
     for r in records[3:6]:
         plan = StroboscopicPlan(r.dt_over_T * 2.0 * np.pi, 4)
         res = run_stroboscopic(Lattice(points=1201), plan, 5.0, 1e-5 * 2.0 * np.pi, 0.5, 1.0,
