@@ -7,6 +7,15 @@ propagation, a Crank-Nicolson grid solver whose measurement gates are
 Strang-split Gaussian filters, and eigenbasis filter-matrix chains.
 """
 
+import os
+
+# a sweep runs one process per CPU (see `harness`), so each asks its BLAS
+# for one thread unless the environment names a count; a process that
+# imported numpy first keeps numpy's threads, and its workers start with one
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .collapse import (
     GridCoverageError,
     OutcomeDistribution,

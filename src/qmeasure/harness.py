@@ -10,18 +10,22 @@ measurement, whose record comes last. `run`, `sweep` and `cross_validate`
 go through that table alone, and `_records` turns chain records into
 ResultRecords in one place.
 The chains of a plan list are independent, so `_chains` spreads every
-engine's over k = min(plans, CPUs) worker processes, started by the
-platform's default method, longest interval first; their records come back
-in plan order, and so does the first failure. With k = 1 (one CPU, or a
-`run` or `validate`, whose plan is one chain) the chains run in the calling
-process. The output bytes do not depend on the CPU count, but in-process
-tracing (perfbench's `--trace 1`) sees no chain that a worker runs.
+engine's over k = min(plans, CPUs) processes: the caller and k - 1 spawned
+workers, one BLAS thread each (see the package's `__init__`). The workers
+take the chains shortest interval first. The caller takes the longest, then
+each next longest that no worker has taken, and so covers the workers'
+start, about 0.5 s of imports. Records come back in plan order, and so does
+the first failure; chains not started by then never run. With k = 1 (one
+CPU, or a `run` or `validate`, whose plan is one chain) the chains run in
+the calling process. The output bytes do not depend on the CPU count, but
+in-process tracing (perfbench's `--trace 1`) sees only the caller's chains.
 Emission is deterministic: fixed column order, fixed float formatting, a
 content hash of the settings in every JSON document, and no wall-clock
 fields in any artifact.
 """
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -322,33 +326,48 @@ def _engine_c(cfg, plan: StroboscopicPlan, final: bool) -> list:
 ENGINES = {"A": _engine_a, "B": _engine_b, "C": _engine_c}
 
 
-def _chains(adapter, cfg, plans, final: bool) -> list:
-    """adapter(cfg, plan, final) for each plan, in plan order, spread over
-    the CPUs as the module docstring states."""
+def _chains(cfg, plans, final: bool) -> list:
+    """ENGINES[e](cfg, plan, final) for each configured engine e and each
+    plan, in that order, spread over the CPUs as the module docstring states."""
+    jobs = [functools.partial(ENGINES[engine], cfg, plan, final)
+            for engine in cfg.engines for plan in plans]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     k = min(len(plans), cpus or 1)
     if k == 1:
-        return [adapter(cfg, plan, final) for plan in plans]
+        return [job() for job in jobs]
     # imported here, so that a run in one process loads no multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
+    from concurrent.futures import Future, ProcessPoolExecutor
 
-    longest_first = sorted(range(len(plans)), key=lambda i: -plans[i].interval)
-    with ProcessPoolExecutor(k) as pool:
-        futures = {i: pool.submit(adapter, cfg, plans[i], final) for i in longest_first}
-        return [futures[i].result() for i in range(len(plans))]
+    shortest_first = sorted(range(len(jobs)), key=lambda j: plans[j % len(plans)].interval)
+    with ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        try:
+            futures = {j: pool.submit(jobs[j]) for j in shortest_first[:-1]}
+            # the caller runs the longest chain, then each next longest that
+            # no worker has taken, until it meets the workers or a chain raises
+            for j in reversed(shortest_first):
+                if j in futures and not futures[j].cancel():
+                    break
+                futures[j] = Future()
+                try:
+                    futures[j].set_result(jobs[j]())
+                except Exception as exc:
+                    futures[j].set_exception(exc)
+                    break
+            return [futures[j].result() for j in range(len(jobs))]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _records(cfg: "ExperimentConfig", ratios, final: bool) -> list:
     """ResultRecords of every configured engine at each interval/period
     ratio; with `final`, only each chain's last measurement."""
     plans = [_plan(cfg, r * _period(cfg)) for r in ratios]
-    records = []
-    for engine in cfg.engines:
-        for r, chain in zip(ratios, _chains(ENGINES[engine], cfg, plans, final)):
-            records.extend(ResultRecord(engine, cfg.filter.kind, r, c.n, c.delta_a_eff,
-                                        c.a_tilde, c.norm_squared)
-                           for c in (chain[-1:] if final else chain))
-    return records
+    chains = _chains(cfg, plans, final)
+    return [ResultRecord(engine, cfg.filter.kind, r, c.n, c.delta_a_eff, c.a_tilde, c.norm_squared)
+            for (engine, r), chain in zip(itertools.product(cfg.engines, ratios), chains)
+            for c in (chain[-1:] if final else chain)]
 
 
 def run(cfg: "ExperimentConfig") -> list:

@@ -1,5 +1,10 @@
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -26,6 +31,7 @@ from qmeasure import (
     sweep,
     validate_config,
 )
+from qmeasure import harness
 from qmeasure.harness import CSV_HEADER, DISTRIBUTION_HEADER
 
 FAST = {
@@ -238,8 +244,8 @@ def test_sweep_every_engine(tmp_path, packet):
     cfg = config_from_mapping({
         "engines": ["A", "B", "C"],
         "plan": {"measurements": 4},
-        # three points: on two CPUs one worker runs two of an engine's
-        # chains and the other one
+        # three points: on two CPUs the calling process and one worker
+        # share the nine chains, and no engine's run all in one process
         "sweep": {"start_over_period": 0.25, "stop_over_period": 0.5, "points": 3},
         "numerics": {"gate_steps": 50, "lattice": {"points": 1201}},
         "output": {"directory": str(tmp_path)},
@@ -268,6 +274,48 @@ def test_sweep_every_engine(tmp_path, packet):
         res = asymptotic_uncertainty(StroboscopicPlan(r.dt_over_T * 2.0 * np.pi, 4), packet)
         assert (r.delta_a_eff, r.a_tilde, r.norm) == (res.delta_a_eff, res.a_tilde,
                                                       res.norm_squared)
+
+
+def _probe(cfg, plan, final):
+    """An engine adapter that leaves a marker named by its interval and
+    fails: the shortest interval at once, any other after 0.3 s."""
+    (Path(cfg.output.directory) / f"{plan.interval:.6f}").touch()
+    if plan.interval > 0.2:
+        time.sleep(0.3)
+    raise ArithmeticError(f"probe at {plan.interval:.6f}")
+
+
+def test_sweep_failure_skips_chains_not_started(tmp_path, monkeypatch):
+    # two CPUs: the calling process and one worker, whose first chain, the
+    # shortest interval, is the first failure in plan order
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setitem(harness.ENGINES, "C", _probe)
+    cfg = config_from_mapping({
+        "engines": ["C"],
+        "sweep": {"start_over_period": 0.025, "stop_over_period": 0.4, "points": 16},
+        "output": {"directory": str(tmp_path)},
+    })
+    shortest = 0.025 * 2.0 * np.pi
+    with pytest.raises(ArithmeticError, match=f"^probe at {shortest:.6f}$"):
+        sweep(cfg)
+    # the caller stops at its own failure, and the chains that no process
+    # had taken when the first failure came back never start
+    assert len(list(tmp_path.iterdir())) < 8
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_import_asks_for_one_blas_thread(preset, expected):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = str(Path(harness.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import os, qmeasure; print(os.environ['OPENBLAS_NUM_THREADS'], "
+         "os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.split() == [expected, "1", "1"]
 
 
 def test_distribution_emission(tmp_path):
