@@ -9,9 +9,11 @@ Strang-split Gaussian filters, and eigenbasis filter-matrix chains.
 
 import os
 
-# a sweep runs one process per CPU (see `harness`), so each asks its BLAS
-# for one thread unless the environment names a count; a process that
-# imported numpy first keeps numpy's threads, and its workers start with one
+# a sweep runs its chains on one thread per CPU (see `harness`), so the
+# process asks its BLAS for one thread unless the environment names a count:
+# spare BLAS threads contend with the chains for the cores (on 2 cores the
+# default sweep took 1.5-1.8 s this way, 2.2-2.7 s with two BLAS threads); a
+# process that imported numpy first keeps numpy's threads
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 del _name

@@ -4,21 +4,21 @@ A single JSON-serializable configuration describes the physical setup, the
 measurement plan, per-engine numerics, and the output layout. `ENGINES`
 maps each engine letter to an adapter that computes one chain,
 (cfg, plan, final) -> list of ChainRecords: A (closed-form Gaussian
-packets), B (grid Crank-Nicolson with Strang-split gates), C (eigenbasis
+packets), B (lattice Pade free steps with Strang-split gates), C (eigenbasis
 filter-matrix chains). With `final` set an adapter need only scan the last
 measurement, whose record comes last. `run`, `sweep` and `cross_validate`
 go through that table alone, and `_records` turns chain records into
 ResultRecords in one place.
-The chains of a plan list are independent, so `_chains` spreads every
-engine's over k = min(plans, CPUs) processes: the caller and k - 1 spawned
-workers, one BLAS thread each (see the package's `__init__`). The workers
-take the chains shortest interval first. The caller takes the longest, then
-each next longest that no worker has taken, and so covers the workers'
-start, about 0.5 s of imports. Records come back in plan order, and so does
-the first failure; chains not started by then never run. With k = 1 (one
-CPU, or a `run` or `validate`, whose plan is one chain) the chains run in
-the calling process. The output bytes do not depend on the CPU count, but
-in-process tracing (perfbench's `--trace 1`) sees only the caller's chains.
+The chains of a plan list are independent, so `_chains` runs every
+engine's on k = min(plans, CPUs) threads of the calling process, taken in
+plan order. A chain's costly parts, LAPACK's tridiagonal solves and numpy's
+array loops and matrix products, release the interpreter lock, so the
+threads overlap; they share the memoized weight matrices and quadrature
+rules, which are read-only. Records come back in plan order, and so does the
+first failure; chains not started by then never run. With k = 1 (one CPU,
+or a `run` or `validate`, whose plan is one chain) the chains run in a plain
+loop. The output bytes do not depend on the CPU count, and in-process
+tracing sees every chain.
 Emission is deterministic: fixed column order, fixed float formatting, a
 content hash of the settings in every JSON document, and no wall-clock
 fields in any artifact.
@@ -31,6 +31,7 @@ import itertools
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -39,7 +40,7 @@ import numpy as np
 from .collapse import OutcomeDistribution
 from .gaussian_analytic import stroboscopic_widths
 from .oscillator import OscillatorBasis, project_gaussian
-from .pde import TIME_STEP, Lattice, _check_gate_steps, run_stroboscopic
+from .pde import Lattice, _check_gate_steps, run_stroboscopic
 from .stroboscopic import (StroboscopicPlan, asymptotic_uncertainty, nth_outcome_distribution,
                            uncertainty_evolution)
 from .weights import WeightSpec
@@ -235,7 +236,7 @@ def validate_config(cfg: "ExperimentConfig") -> "ExperimentConfig":
         raise ConfigError("numerics.gate_steps must be at least 1")
     if "B" in cfg.engines:
         _section("numerics", _check_gate_steps, num.gate_steps,
-                 num.gate_fraction * _period(cfg), TIME_STEP)
+                 num.gate_fraction * _period(cfg))
     if sweep.start_over_period <= 0 or sweep.stop_over_period < sweep.start_over_period:
         raise ConfigError("sweep: need 0 < start_over_period <= stop_over_period")
     if sweep.points < 2:
@@ -335,26 +336,10 @@ def _chains(cfg, plans, final: bool) -> list:
     k = min(len(plans), cpus or 1)
     if k == 1:
         return [job() for job in jobs]
-    # imported here, so that a run in one process loads no multiprocessing
-    import multiprocessing
-    from concurrent.futures import Future, ProcessPoolExecutor
-
-    shortest_first = sorted(range(len(jobs)), key=lambda j: plans[j % len(plans)].interval)
-    with ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("spawn")) as pool:
+    with ThreadPoolExecutor(k) as pool:
+        futures = [pool.submit(job) for job in jobs]
         try:
-            futures = {j: pool.submit(jobs[j]) for j in shortest_first[:-1]}
-            # the caller runs the longest chain, then each next longest that
-            # no worker has taken, until it meets the workers or a chain raises
-            for j in reversed(shortest_first):
-                if j in futures and not futures[j].cancel():
-                    break
-                futures[j] = Future()
-                try:
-                    futures[j].set_result(jobs[j]())
-                except Exception as exc:
-                    futures[j].set_exception(exc)
-                    break
-            return [futures[j].result() for j in range(len(jobs))]
+            return [future.result() for future in futures]
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

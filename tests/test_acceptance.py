@@ -99,7 +99,7 @@ def test_criterion_1_first_measurement(packet, capsys):
     # a coarser lattice suffices here: the packet is still wide at n = 1
     started = time.perf_counter()
     rec_b = run_stroboscopic(Lattice(points=2401), StroboscopicPlan(0.5 * PERIOD, 1),
-                             WIDTH, GATE, MASS, OMEGA, time_step=0.005)[0]
+                             WIDTH, GATE, MASS, OMEGA)[0]
     elapsed_b = time.perf_counter() - started
     assert rec_b.delta_a_eff == pytest.approx(SQRT26, abs=1e-2)
     assert elapsed_b < budget

@@ -1,5 +1,5 @@
 import json
-import multiprocessing
+import threading
 
 import pytest
 
@@ -170,15 +170,17 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
      "raise numerics.levels"),
 ], ids=["B", "C"])
 def test_sweep_chain_failure_exit_code(tmp_path, capsys, mapping, message):
-    # every chain of the sweep fails, whichever process runs it
+    # every chain of the sweep fails, whichever thread runs it
     cfg = _write_config(tmp_path, mapping | {
         "plan": {"measurements": 3},
         "sweep": {"points": 3},
         "output": {"directory": str(tmp_path / "out")},
     })
+    threads = set(threading.enumerate())
     assert main(["sweep", "--config", cfg]) == 3
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
-    assert multiprocessing.active_children() == []
+    # no chain thread outlives the sweep
+    assert set(threading.enumerate()) <= threads
 
 
 def test_out_override(tmp_path, capsys):

@@ -1,9 +1,9 @@
 import json
-import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -31,7 +31,7 @@ from qmeasure import (
     sweep,
     validate_config,
 )
-from qmeasure import harness
+from qmeasure import harness, oscillator, weights
 from qmeasure.harness import CSV_HEADER, DISTRIBUTION_HEADER
 
 FAST = {
@@ -244,8 +244,8 @@ def test_sweep_every_engine(tmp_path, packet):
     cfg = config_from_mapping({
         "engines": ["A", "B", "C"],
         "plan": {"measurements": 4},
-        # three points: on two CPUs the calling process and one worker
-        # share the nine chains, and no engine's run all in one process
+        # three points: on two CPUs two chain threads share the nine
+        # chains, and no engine's run all on one thread
         "sweep": {"start_over_period": 0.25, "stop_over_period": 0.5, "points": 3},
         "numerics": {"gate_steps": 50, "lattice": {"points": 1201}},
         "output": {"directory": str(tmp_path)},
@@ -257,7 +257,7 @@ def test_sweep_every_engine(tmp_path, packet):
     for r in records[3:]:
         assert abs(r.delta_a_eff - exact[r.dt_over_T]) <= 0.10 * exact[r.dt_over_T]
     # every engine's rows are the same numbers, in plan order, however the
-    # chains were spread over processes
+    # chains were spread over threads
     for r in records[:3]:
         res = stroboscopic_widths(5.0, r.dt_over_T * 2.0 * np.pi, 4, 1.0, 1e-5 * 2.0 * np.pi,
                                   0.5, 1.0)[-1]
@@ -286,9 +286,10 @@ def _probe(cfg, plan, final):
 
 
 def test_sweep_failure_skips_chains_not_started(tmp_path, monkeypatch):
-    # two CPUs: the calling process and one worker, whose first chain, the
-    # shortest interval, is the first failure in plan order
+    # two CPUs: two chain threads, one of which takes the first chain, the
+    # shortest interval, which is the first failure in plan order
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    threads = set(threading.enumerate())
     monkeypatch.setitem(harness.ENGINES, "C", _probe)
     cfg = config_from_mapping({
         "engines": ["C"],
@@ -298,10 +299,38 @@ def test_sweep_failure_skips_chains_not_started(tmp_path, monkeypatch):
     shortest = 0.025 * 2.0 * np.pi
     with pytest.raises(ArithmeticError, match=f"^probe at {shortest:.6f}$"):
         sweep(cfg)
-    # the caller stops at its own failure, and the chains that no process
-    # had taken when the first failure came back never start
+    # the chains that no thread had taken when the first failure came back
+    # never start, and no chain thread outlives the sweep
     assert len(list(tmp_path.iterdir())) < 8
-    assert multiprocessing.active_children() == []
+    assert set(threading.enumerate()) <= threads
+
+
+def test_threaded_sweep_matches_one_cpu(monkeypatch):
+    """Six chain threads on fewer cores, switching every microsecond and
+    filling the memoized weight matrices and quadrature rules together, give
+    the records one CPU gives, bit for bit."""
+    cfg = config_from_mapping({
+        "engines": ["B", "C"],
+        "plan": {"measurements": 3},
+        "sweep": {"start_over_period": 0.1, "stop_over_period": 0.6, "points": 6},
+        "numerics": {"lattice": {"points": 601}},
+    })
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    expected = repr(sweep(cfg))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+    weights._weight_matrix.cache_clear()
+    oscillator._legendre_rule.cache_clear()
+    threads = set(threading.enumerate())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    started = time.perf_counter()
+    try:
+        records = repr(sweep(cfg))
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.perf_counter() - started < 60.0
+    assert records == expected
+    assert set(threading.enumerate()) <= threads
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])

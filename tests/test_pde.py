@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve, solve_banded
+from scipy.linalg import expm, solve, solve_banded
 
 from qmeasure import (
     BoundaryLeakError,
     GaussianPacket,
+    GridWavefunction,
     Lattice,
     StepFilterUnsupportedError,
     StroboscopicPlan,
@@ -17,7 +18,7 @@ from qmeasure import (
     sample_gaussian,
     stroboscopic_widths,
 )
-from qmeasure.pde import TridiagonalOperator, _gate, _scan
+from qmeasure.pde import PADE, TIME_STEP, TridiagonalOperator, _gate, _scan
 
 MASS = 0.5
 OMEGA = 1.0
@@ -155,6 +156,51 @@ def test_gate_matches_banded_formulation():
     assert np.max(np.abs(values - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
+def test_pade_steps_match_dense_product():
+    """A Pade step is the product of the Crank-Nicolson steps of the complex
+    lengths c dt and c* dt, c = 1/2 - i sqrt(3)/6, here with the
+    non-Hermitian gate on."""
+    rng = np.random.default_rng(13)
+    lat = Lattice(-5.0, 5.0, 64)
+    op = _absorbing(lat, 0.3, 2.0)
+    dense, mass = _dense(op), _mass(64)
+    dt, steps = 0.01, 7
+    psi = rng.normal(size=64) + 1j * rng.normal(size=64)
+    expected = psi
+    for _ in range(steps):
+        for c in (0.5 - 1j * np.sqrt(3.0) / 6.0, 0.5 + 1j * np.sqrt(3.0) / 6.0):
+            z = 1j * c * dt / 2.0
+            expected = solve(mass + z * dense, (mass - z * dense) @ expected)
+    values = crank_nicolson_evolve(op, psi, dt, steps, substeps=PADE)
+    assert np.max(np.abs(values - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+def test_pade_step_is_fourth_order():
+    """Against exact propagation on the same lattice, exp(-iHt) with
+    H = B^-1 M, the Pade error after t = 1 falls about 16-fold each time dt
+    halves (Crank-Nicolson's falls about 4-fold)."""
+    lat = Lattice(-10.0, 10.0, 201)
+    op = effective_hamiltonian(lat, MASS, OMEGA)
+    psi = sample_gaussian(lat, 1.0, center=1.0).values
+    exact = expm(-1j * solve(_mass(lat.points), _dense(op))) @ psi
+    errors = [np.linalg.norm(crank_nicolson_evolve(op, psi, 1.0 / steps, steps,
+                                                   substeps=PADE) - exact)
+              for steps in (10, 20, 40)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 14.0 < coarse / fine < 18.0
+
+
+def test_pade_norm_drift_over_eight_periods():
+    """Engine B's free step keeps the norm to 1e-12 over 8T on the default
+    lattice."""
+    lat = Lattice()
+    wavefn = sample_gaussian(lat, 5.0)
+    op = effective_hamiltonian(lat, MASS, OMEGA)
+    steps = int(np.ceil(8.0 * T / TIME_STEP))
+    values = crank_nicolson_evolve(op, wavefn.values, 8.0 * T / steps, steps, substeps=PADE)
+    assert abs(GridWavefunction(lat, values).norm_squared() - wavefn.norm_squared()) <= 1e-12
+
+
 def test_singular_step_matrix_raises():
     """A zero pivot in B + zM is reported, not divided through: row 5 of M
     is 6i times row 5 of B, so at dt = 1/3 (z = i/6) row 5 of B + zM vanishes."""
@@ -254,7 +300,7 @@ def test_gate_substeps_no_longer_than_time_step():
 
 
 def test_default_time_step_is_absolute():
-    """The default time step is the configuration's 0.000625 at any omega."""
+    """The gate-substep bound is 0.000625 at any omega."""
     plan = StroboscopicPlan(np.pi / 2.0, 1)
     with pytest.raises(ValueError, match="at least 80,"):
         run_stroboscopic(COARSE, plan, 5.0, 0.05, MASS, 2.0 * OMEGA, gate_steps=1)
@@ -262,8 +308,7 @@ def test_default_time_step_is_absolute():
 
 def test_single_measurement_uncertainty():
     plan = StroboscopicPlan(T / 2.0, 1)
-    recs = run_stroboscopic(COARSE, plan, 5.0, 1e-5 * T, MASS, OMEGA,
-                            time_step=0.005)
+    recs = run_stroboscopic(COARSE, plan, 5.0, 1e-5 * T, MASS, OMEGA)
     assert len(recs) == 1
     assert recs[0].delta_a_eff == pytest.approx(SQRT26, abs=1e-2)
     assert recs[0].a_tilde == pytest.approx(0.0, abs=1e-6)
@@ -271,7 +316,8 @@ def test_single_measurement_uncertainty():
 
 def test_headline_point_within_a_tenth_percent():
     """At dt = T/2, n = 16, the default lattice reads engine A's width to
-    0.1% (+0.019%; a three-point stencil read +0.75%)."""
+    0.1% (+0.0034%; with Crank-Nicolson free steps +0.019%, and with a
+    three-point stencil +0.75%)."""
     plan = StroboscopicPlan(T / 2.0, 16)
     rec = run_stroboscopic(Lattice(), plan, 5.0, 1e-5 * T, MASS, OMEGA, scan_at={16})[-1]
     exact = stroboscopic_widths(5.0, T / 2.0, 16, 1.0, 1e-5 * T, MASS, OMEGA)[-1]
@@ -281,7 +327,7 @@ def test_headline_point_within_a_tenth_percent():
 def test_scan_subset():
     plan = StroboscopicPlan(T / 2.0, 3)
     recs = run_stroboscopic(COARSE, plan, 5.0, 1e-5 * T, MASS, OMEGA,
-                            time_step=0.005, outcome_points=65, scan_at={1, 3})
+                            outcome_points=65, scan_at={1, 3})
     assert [r.n for r in recs] == [1, 3]
     assert recs[1].norm_squared < recs[0].norm_squared
 
@@ -297,5 +343,4 @@ def test_boundary_leak_detected():
     small = Lattice(-12.0, 12.0, 481)
     plan = StroboscopicPlan(T / 2.0, 2)
     with pytest.raises(BoundaryLeakError):
-        run_stroboscopic(small, plan, 5.0, 1e-5 * T, MASS, OMEGA,
-                         time_step=0.005)
+        run_stroboscopic(small, plan, 5.0, 1e-5 * T, MASS, OMEGA)
