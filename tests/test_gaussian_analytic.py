@@ -101,7 +101,7 @@ def test_measured_segment_against_grid():
     lat = Lattice(-40.0, 40.0, 4001)
     duration, err, a = 0.05, 1.0, 0.7
     grid = sample_gaussian(lat, 2.0)
-    # 80 Strang substeps: none longer than the default lattice time step
+    # 80 Strang substeps: none longer than the 0.000625 gate-substep bound
     values = _gate(grid, effective_hamiltonian(lat, MASS, OMEGA), err, duration, 80, 1.0)(a)
     p = evolve_measured(GaussianPacket.from_width(2.0), duration, err, MASS, OMEGA, center=a)
 

@@ -122,7 +122,8 @@ def test_gate_substeps_checked_only_for_engine_b():
 
 
 def test_gate_substeps_within_time_step():
-    """At gate_fraction 0.01 the gate lasts 0.0628, over 100 default time steps."""
+    """At gate_fraction 0.01 the gate lasts 0.0628, over 100 times the
+    0.000625 gate-substep bound."""
     with pytest.raises(ConfigError, match="at least 101"):
         config_from_mapping({"numerics": {"gate_fraction": 0.01}, "engines": ["A", "B"]})
     config_from_mapping({"numerics": {"gate_fraction": 0.01, "gate_steps": 101},
