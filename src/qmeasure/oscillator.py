@@ -165,12 +165,51 @@ class Quadrature:
 
 @lru_cache(maxsize=64)
 def _legendre_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
+    """Read-only Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
-    `leggauss` costs 13 ms at 304 nodes and 80 ms at 800, and the same few
+    Newton's method on the three-term recurrence (Hale & Townsend 2013),
+    O(n^2) where numpy's `leggauss` takes the eigenvalues of a dense n x n
+    matrix (Golub & Welsch 1969), O(n^3): 8 ms against 70 ms at 800 nodes,
+    23 ms against 0.3 s at 1,600. Only the positive half is iterated,
+    from Tricomi's guesses, until no node moves by more than 4e-16; the
+    other half is its mirror, and odd rules get an exact 0 node. The weights
+    come from a final pass, w = 2/((1 - x^2) P_n'(x)^2); at 800 nodes the end
+    weight is 2e-12 off in relative terms, `leggauss`'s 1.4e-9. The same few
     node counts recur in every weight matrix and outcome scan.
     """
-    x, w = np.polynomial.legendre.leggauss(points)
+    n = int(points)
+    k = np.arange(n // 2, 0, -1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    j = np.arange(1.0, n)
+    # P_{j+1} = a_j x P_j - b_j P_{j-1}; Python floats keep the loop's
+    # scalar multiplies cheap
+    a, b = ((2.0 * j + 1.0) / (j + 1.0)).tolist(), (j / (j + 1.0)).tolist()
+
+    def legendre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P_n(x) and n (P_{n-1}(x) - x P_n(x)) = (1 - x^2) P_n'(x)."""
+        p0, p1, t = np.ones_like(x), x.copy(), np.empty_like(x)
+        for aj, bj in zip(a, b):
+            np.multiply(x, p1, out=t)
+            t *= aj
+            p0 *= bj
+            np.subtract(t, p0, out=p0)
+            p0, p1 = p1, p0
+        return p1, n * (p0 - x * p1)
+
+    for _ in range(100):
+        p, dp = legendre(x)
+        dx = p * (1.0 - x) * (1.0 + x) / dp
+        x -= dx
+        if np.max(np.abs(dx), initial=0.0) <= 4e-16:
+            break
+    else:
+        raise QuadratureError(f"Gauss-Legendre nodes did not converge at {n} points")
+    if n % 2:
+        x = np.concatenate([[0.0], x])
+    _, dp = legendre(x)
+    w = 2.0 * (1.0 - x) * (1.0 + x) / dp**2
+    x = np.concatenate([-x[::-1][:n // 2], x])
+    w = np.concatenate([w[::-1][:n // 2], w])
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

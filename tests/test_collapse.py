@@ -14,7 +14,7 @@ from qmeasure import (
     project_gaussian,
     weight_matrix,
 )
-from qmeasure.oscillator import domain_halfwidth, eigenfunction_matrix
+from qmeasure.oscillator import _legendre_rule, domain_halfwidth, eigenfunction_matrix
 from qmeasure.weights import quadrature_nodes
 
 SQRT26 = 5.0990195135927845
@@ -82,11 +82,73 @@ def test_rows_outside_domain_are_zero(basis, packet):
         assert np.all(outcome_amplitudes(packet, kind, 1.0, outside) == 0.0)
 
 
+def _gaussian_amplitudes_reference(state, error, outcomes):
+    """The Gaussian scan as a plain loop: each live outcome's filter
+    profile over every node of the shared panel grid, masked to its window."""
+    half = 8.0 * error
+    limit = domain_halfwidth(state.basis)
+    lo = np.clip(outcomes - half, -limit, limit)
+    hi = np.clip(outcomes + half, -limit, limit)
+    live = np.flatnonzero(hi > lo)
+    width = 2.0 * half
+    start, stop = lo[live].min(), hi[live].max()
+    left = start + width * np.arange(max(1, int(np.ceil((stop - start) / width))))
+    right = np.minimum(left + width, stop)
+    base_x, base_w = _legendre_rule(quadrature_nodes(width))
+    x = (0.5 * (right - left)[:, None] * base_x + 0.5 * (right + left)[:, None]).ravel()
+    w = (0.5 * (right - left)[:, None] * base_w).ravel()
+    u = eigenfunction_matrix(state.basis, x)
+    psi = state.coefficients @ u
+    amps = np.zeros((outcomes.size, state.basis.n_max), dtype=complex)
+    for i in live:
+        f = np.exp(-((x - outcomes[i]) ** 2) / (2.0 * error**2))
+        f[(x < lo[i]) | (x > hi[i])] = 0.0
+        amps[i] = u @ (w * f * psi)
+    return amps
+
+
+# the blocked scan sums the same products in another order: float64
+# round-off, relative to each row's norm and to each density sample, so
+# that rows far out in the state's tails count as much as the peak's
+SCAN_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("error", [0.3, 1.0])
+def test_blocked_scan_matches_plain_loop(basis, rng, error):
+    """Shuffled outcomes, windows across panel edges and past the domain
+    edge, and outcomes wholly outside the domain."""
+    state = _random_state(basis, rng)
+    limit, width = domain_halfwidth(basis), 16.0 * error
+    # the outcomes run past the domain, so the panels start at -limit
+    edges = -limit + width * np.arange(1, 4)
+    outcomes = np.concatenate([
+        np.linspace(-limit - 2.0 * width, limit + 2.0 * width, 301),
+        edges - 0.5 * width, edges + 0.1 * error, edges - 0.1 * error,
+        rng.uniform(-limit, limit, 40),
+    ])
+    outcomes = outcomes[rng.permutation(outcomes.size)]
+    amps = outcome_amplitudes(state, "gaussian", error, outcomes)
+    reference = _gaussian_amplitudes_reference(state, error, outcomes)
+    row_norms = np.linalg.norm(reference, axis=1)
+    assert np.all(np.linalg.norm(amps - reference, axis=1) <= SCAN_RTOL * row_norms)
+    outside = (outcomes + 8.0 * error <= -limit) | (outcomes - 8.0 * error >= limit)
+    assert outside.any() and np.all(amps[outside] == 0.0)
+
+
+def test_distribution_density_matches_amplitudes(basis, rng):
+    state = _random_state(basis, rng)
+    dist = outcome_distribution(state, 0.7)
+    amps = outcome_amplitudes(state, "gaussian", 0.7, dist.outcomes)
+    density = OutcomeDistribution.from_norms(dist.outcomes, np.sum(np.abs(amps) ** 2, axis=1)).density
+    assert np.all(np.abs(dist.density - density) <= SCAN_RTOL * density)
+
+
 def _step_amplitudes_reference(state, error, outcomes):
-    """The per-outcome window rule the step filter keeps."""
+    """The per-outcome window rule the step filter keeps, on the package's
+    base Gauss-Legendre rule."""
     half = error
     limit = domain_halfwidth(state.basis)
-    base_x, base_w = np.polynomial.legendre.leggauss(quadrature_nodes(2.0 * half))
+    base_x, base_w = _legendre_rule(quadrature_nodes(2.0 * half))
     lo = np.clip(outcomes - half, -limit, limit)
     hi = np.clip(outcomes + half, -limit, limit)
     span = hi - lo

@@ -15,6 +15,7 @@ from qmeasure import (
     position_wavefunction,
     project_gaussian,
 )
+from qmeasure.oscillator import _legendre_rule
 
 # ground state amplitude at the origin, (m omega / pi hbar)^(1/4) at the
 # default units m=1/2, omega=1, hbar=1
@@ -22,6 +23,8 @@ U0_AT_ORIGIN = 0.6316187777460647
 
 # fraction of a width-5 packet captured by a 20-level basis
 CAPTURED_20 = 0.9876484069981
+
+RULE_SIZES = [1, 2, 3, 64, 65, 304, 800, 1600]
 
 
 def test_basis_validation():
@@ -142,3 +145,28 @@ def test_eigenstate_normalization(basis, rng):
     coeffs = rng.normal(size=basis.n_max) + 1j * rng.normal(size=basis.n_max)
     state = EigenState(basis, coeffs)
     assert state.normalized().norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_legendre_rule_nodes(n):
+    x, w = _legendre_rule(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0
+    if n <= 800:
+        # the eigenvalue rule, to within two ulps of 1
+        reference, _ = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - reference)) <= 4e-16
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_legendre_rule_integrates_even_powers(n):
+    """An n-point rule integrates x^(2k) exactly for 2k < 2n."""
+    x, w = _legendre_rule(n)
+    assert abs(np.sum(w) - 2.0) <= 1e-14
+    # x^(2k) carries 2k times the nodes' rounding, up to 3.5e-13 at n = 1600
+    x2 = x * x
+    error = max(abs(np.sum(w * x2**k) * (2 * k + 1) / 2.0 - 1.0) for k in range(n))
+    assert error <= 1e-12
