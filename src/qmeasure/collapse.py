@@ -10,18 +10,18 @@ squared norm of the collapsed state; its effective width
 with a_tilde the density's peak, measures how much the apparatus error da
 is diluted by the quantum spread of the state.
 
-An outcome scan evaluates w_a psi for every outcome a of a grid. For the
-Gaussian filter all outcomes share one quadrature grid: panels as wide as a
-filter window, each with the same Gauss-Legendre rule, tile the live
-windows, and the eigenfunctions are evaluated once on their nodes. The
+An outcome scan evaluates w_a psi for every outcome a of a grid, for
+either filter, on one shared quadrature grid: panels carrying one
+Gauss-Legendre rule each tile the live windows, and the eigenfunctions are
+evaluated once on their nodes. Gaussian panels are as wide as a filter
+window; step panels run between consecutive window edges, so the step's
+jumps fall on panel ends and its indicator is exact on every node. The
 outcomes, in order of position, are then reduced in blocks of 32, each by
 one real matrix product over only the nodes its windows cover; a density
 scan reduces each block's product straight to its squared norms. Past its
 (2 n_max, nodes) grid array a scan allocates only a block's arrays, so
 repeated scans reuse memory the allocator already holds instead of
-faulting in fresh pages. The step filter's integrand jumps at each
-outcome's own window edges, so every step outcome keeps a rule of its own
-on its window.
+faulting in fresh pages.
 """
 
 from __future__ import annotations
@@ -56,51 +56,34 @@ def outcome_amplitudes(state: EigenState, kind: str, error: float, outcomes: np.
     coefficients of w_{a_i} * psi; outcomes may come in any order, and rows
     whose window lies wholly outside the basis domain are exactly zero.
     Each outcome integrates over its own support window clipped to the
-    domain: the Gaussian filter on the scan's shared panel grid, the step
-    filter on a rule of its own, so its integrand stays smooth on its panel.
+    domain, on the scan's shared panel grid.
     """
-    basis = state.basis
-    n_max = basis.n_max
-    outcomes = np.asarray(outcomes, dtype=float)
-    half = WeightSpec(kind, 0.0, error).window_halfwidth()  # validates kind/error
-    if kind == "gaussian":
-        amps = np.zeros((outcomes.size, n_max), dtype=complex)
-        for rows, r in _gaussian_products(state, error, outcomes):
-            amps.real[rows] = r[:, :n_max]
-            amps.imag[rows] = r[:, n_max:]
-        return amps
-
-    limit = domain_halfwidth(basis)
-    base_x, base_w = _legendre_rule(quadrature_nodes(2.0 * half))
-    lo = np.clip(outcomes - half, -limit, limit)
-    hi = np.clip(outcomes + half, -limit, limit)
-    span = hi - lo
-    live = span > 0
-    # map the reference rule into every live window (rows of zeros elsewhere)
-    xs = 0.5 * span[:, None] * base_x[None, :] + 0.5 * (hi + lo)[:, None]
-    ws = 0.5 * span[:, None] * base_w[None, :]
-    u = eigenfunction_matrix(basis, xs)                      # (n_max, n_a, n_nodes)
-    psi = np.einsum("l,lak->ak", state.coefficients, u)
-    amps = np.einsum("lak,ak->al", u, ws * psi)
-    amps[~live] = 0.0
+    n_max = state.basis.n_max
+    amps = np.zeros((np.size(outcomes), n_max), dtype=complex)
+    for rows, r in _scan_products(state, kind, error, outcomes):
+        amps.real[rows] = r[:, :n_max]
+        amps.imag[rows] = r[:, n_max:]
     return amps
 
 
-# outcomes per block of the Gaussian scan: at 16 and 128 the default `run`
-# took about 10% longer, and at 64 it faulted in fresh pages on every run
+# outcomes per block of a scan: at 16 and 128 the default `run` took about
+# 10% longer, and at 64 it faulted in fresh pages on every run
 _BLOCK = 32
 
 
-def _gaussian_products(state: EigenState, error: float, outcomes: np.ndarray):
-    """Gaussian-filter amplitudes on one shared grid of panels, by blocks.
+def _scan_products(state: EigenState, kind: str, error: float, outcomes: np.ndarray):
+    """Filter amplitudes on one shared grid of panels, by blocks.
 
-    Panels of the window width tile the span of the live windows [lo, hi]
-    (clipped to the basis domain), each carrying one Gauss-Legendre rule,
-    so a window covers at most its first panel and the next; only panels
-    some window touches get nodes. The eigenfunctions are evaluated once,
-    and the real and imaginary parts of g = u w psi are stacked into one
-    real (2 n_max, nodes) array. The live outcomes, sorted by position, are
-    then reduced in blocks of `_BLOCK`: each block's filter profiles, cut to
+    Gaussian panels of the window width tile the span of the live windows
+    [lo, hi] (clipped to the basis domain), each carrying one Gauss-Legendre
+    rule, so a window covers at most its first panel and the next. Step
+    panels run between consecutive window edges, so the step's jumps fall
+    on panel ends; each carries one rule whose node count keeps the longest
+    panel at the density of a window's own rule. Only panels some window
+    touches get nodes. The eigenfunctions are evaluated once, and the real
+    and imaginary parts of g = u w psi are stacked into one real
+    (2 n_max, nodes) array. The live outcomes, sorted by position, are then
+    reduced in blocks of `_BLOCK`: each block's filter profiles, cut to
     their windows, multiply g over only the nodes those windows cover.
 
     Yields (rows, r) per block: the outcome indices and the real
@@ -109,7 +92,8 @@ def _gaussian_products(state: EigenState, error: float, outcomes: np.ndarray):
     """
     basis = state.basis
     n_max = basis.n_max
-    half = WeightSpec("gaussian", 0.0, error).window_halfwidth()
+    outcomes = np.asarray(outcomes, dtype=float)
+    half = WeightSpec(kind, 0.0, error).window_halfwidth()  # validates kind/error
     limit = domain_halfwidth(basis)
     lo = np.clip(outcomes - half, -limit, limit)
     hi = np.clip(outcomes + half, -limit, limit)
@@ -120,14 +104,26 @@ def _gaussian_products(state: EigenState, error: float, outcomes: np.ndarray):
     # and ends alike
     rows = rows[np.argsort(outcomes[rows], kind="stable")]
     width = 2.0 * half
-    base_x, base_w = _legendre_rule(quadrature_nodes(width))
-    start, stop = float(lo[rows[0]]), float(hi[rows[-1]])
-    count = max(1, int(np.ceil((stop - start) / width)))
-    first = np.clip(np.floor((lo[rows] - start) / width).astype(int), 0, count - 1)
-    panels = np.unique(np.concatenate([first, np.minimum(first + 1, count - 1)]))
-
-    left = start + width * panels
-    right = np.minimum(left + width, stop)
+    nodes = quadrature_nodes(width)
+    if kind == "gaussian":
+        start, stop = float(lo[rows[0]]), float(hi[rows[-1]])
+        count = max(1, int(np.ceil((stop - start) / width)))
+        first = np.clip(np.floor((lo[rows] - start) / width).astype(int), 0, count - 1)
+        panels = np.unique(np.concatenate([first, np.minimum(first + 1, count - 1)]))
+        left = start + width * panels
+        right = np.minimum(left + width, stop)
+    else:
+        edges = np.unique(np.concatenate([lo[rows], hi[rows]]))
+        left, right = edges[:-1], edges[1:]
+        # a panel is covered when more windows start than end before its middle
+        mid = 0.5 * (left + right)
+        covered = (np.searchsorted(lo[rows], mid, side="right")
+                   > np.searchsorted(hi[rows], mid, side="left"))
+        left, right = left[covered], right[covered]
+        # four nodes past a window rule's density: with only two or three,
+        # short panels were 1e-6 off on 801 outcomes at error 3
+        nodes = int(np.ceil(nodes * np.max(right - left) / width)) + 4
+    base_x, base_w = _legendre_rule(nodes)
     x = (0.5 * (right - left)[:, None] * base_x + 0.5 * (right + left)[:, None]).ravel()
     w = (0.5 * (right - left)[:, None] * base_w).ravel()
     u = eigenfunction_matrix(basis, x)                       # (n_max, nodes)
@@ -143,16 +139,21 @@ def _gaussian_products(state: EigenState, error: float, outcomes: np.ndarray):
     starts = np.searchsorted(x, lo[rows], side="left").tolist()
     ends = np.searchsorted(x, hi[rows], side="right").tolist()
     # every node lies in the domain, so a window is the nodes within `half`
-    # of its outcome; the profile is formed in place and rounds as
-    # evaluate_weight does, with exp(-inf) = 0 outside the window
+    # of its outcome; the Gaussian profile is formed in place and rounds as
+    # evaluate_weight does, with exp(-inf) = 0 outside the window, and the
+    # step profile is the window's indicator, exact on panels that end at
+    # window edges
     reach, scale = half**2, -2.0 * error**2
     for i in range(0, rows.size, _BLOCK):
         j0, j1 = starts[i], ends[min(i + _BLOCK, rows.size) - 1]
         f = np.subtract.outer(a[i:i + _BLOCK], x[j0:j1])
         np.square(f, out=f)
-        f[f > reach] = np.inf
-        f /= scale
-        np.exp(f, out=f)
+        if kind == "gaussian":
+            f[f > reach] = np.inf
+            f /= scale
+            np.exp(f, out=f)
+        else:
+            np.less_equal(f, reach, out=f)
         yield rows[i:i + _BLOCK], f @ g[:, j0:j1].T
 
 
@@ -218,9 +219,9 @@ def outcome_distribution(
     """Outcome density of a single impulsive measurement of `state`.
 
     The grid is centered on the state's mean position and spans ten times a
-    dispersion estimate sqrt(error^2 + spread^2) unless told otherwise. A
-    Gaussian scan reduces each block of outcomes straight to its squared
-    norms and never forms the amplitude matrix.
+    dispersion estimate sqrt(error^2 + spread^2) unless told otherwise. The
+    scan reduces each block of outcomes straight to its squared norms and
+    never forms the amplitude matrix.
     """
     work = state.normalized()
     mean, var = position_moments(work)
@@ -229,13 +230,9 @@ def outcome_distribution(
     if halfwidth is None:
         halfwidth = 10.0 * float(np.sqrt(error**2 + 2.0 * var))
     outcomes = np.linspace(center - halfwidth, center + halfwidth, int(points))
-    if kind == "gaussian":
-        norms2 = np.zeros(outcomes.size)
-        for rows, r in _gaussian_products(work, error, outcomes):
-            norms2[rows] = np.einsum("ij,ij->i", r, r)
-    else:
-        amps = outcome_amplitudes(work, kind, error, outcomes)
-        norms2 = np.sum(np.abs(amps) ** 2, axis=1)
+    norms2 = np.zeros(outcomes.size)
+    for rows, r in _scan_products(work, kind, error, outcomes):
+        norms2[rows] = np.einsum("ij,ij->i", r, r)
     return OutcomeDistribution.from_norms(outcomes, norms2)
 
 
