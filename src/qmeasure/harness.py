@@ -9,23 +9,23 @@ filter-matrix chains). With `final` set an adapter need only scan the last
 measurement, whose record comes last. `run`, `sweep` and `cross_validate`
 go through that table alone, and `_records` turns chain records into
 ResultRecords in one place.
-The chains of a plan list are independent, so `_chains` runs every
-engine's on k = min(plans, CPUs) threads of the calling process, taken in
-plan order. A chain's costly parts, LAPACK's tridiagonal solves and numpy's
-array loops and matrix products, release the interpreter lock, so the
-threads overlap; they share the memoized weight matrices and quadrature
-rules, which are read-only. Records come back in plan order, and so does the
-first failure; chains not started by then never run. With k = 1 (one CPU,
-or a `run` or `validate`, whose plan is one chain) the chains run in a plain
-loop. The output bytes do not depend on the CPU count, and in-process
-tracing sees every chain.
+The chains of a plan list are independent, so `_records` maps every
+engine's over k = min(plans, CPUs) threads of the calling process with
+`ThreadPoolExecutor.map`, taken in plan order. A chain's costly parts,
+LAPACK's tridiagonal solves and numpy's array loops and matrix products,
+release the interpreter lock, so the threads overlap; they share the
+memoized weight matrices and quadrature rules, which are read-only. Records
+come back in plan order, and so does the first failure; chains not started
+by then never run. With k = 1 (one CPU, or a `run` or `validate`, whose plan
+is one chain) the builtin `map` runs them in the calling thread and no
+thread starts. The output bytes do not depend on the CPU count, and
+in-process tracing sees every chain.
 Emission is deterministic: fixed column order, fixed float formatting, a
 content hash of the settings in every JSON document, and no wall-clock
 fields in any artifact.
 """
 
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
@@ -86,18 +86,11 @@ class PlanConfig:
 
 
 @dataclass(frozen=True)
-class LatticeConfig:
-    x_min: float = Lattice.x_min
-    x_max: float = Lattice.x_max
-    points: int = Lattice.points
-
-
-@dataclass(frozen=True)
 class NumericsConfig:
     levels: int = 64
     gate_fraction: float = 1e-5
     gate_steps: int = 1
-    lattice: LatticeConfig = field(default_factory=LatticeConfig)
+    lattice: Lattice = field(default_factory=Lattice)
 
 
 @dataclass(frozen=True)
@@ -153,8 +146,9 @@ def _string_tuple(raw, where: str) -> tuple:
 
 
 def _build(cls, data, path: str = ""):
+    section = path[:-1] or "configuration"
     if not isinstance(data, dict):
-        raise ConfigError(f"{path or 'configuration'}: expected an object")
+        raise ConfigError(f"{section}: expected an object")
     allowed = {f.name: f for f in fields(cls)}
     kwargs = {}
     for key, raw in data.items():
@@ -177,7 +171,7 @@ def _build(cls, data, path: str = ""):
             kwargs[key] = _string_tuple(raw, where)
         else:
             kwargs[key] = _coerce_scalar(raw, default, where)
-    return cls(**kwargs)
+    return _section(section, cls, **kwargs)
 
 
 def config_from_mapping(data: dict) -> "ExperimentConfig":
@@ -206,10 +200,11 @@ def _read_config(path) -> "ExperimentConfig":
     return _build(ExperimentConfig, data)
 
 
-def _section(name: str, build, *args):
-    """build(*args), reporting its ValueError as a ConfigError of section `name`."""
+def _section(name: str, build, *args, **kwargs):
+    """build(*args, **kwargs), reporting its ValueError as a ConfigError of
+    section `name`."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
@@ -218,10 +213,10 @@ def validate_config(cfg: "ExperimentConfig") -> "ExperimentConfig":
     """Cross-field validation; returns the config with engines and formats
     deduplicated into canonical order.
 
-    The basis, filter, plan and lattice are built once so that their own
-    checks apply; the rest no object owns."""
-    u, s, flt, num, lat, sweep, out = (cfg.units, cfg.state, cfg.filter, cfg.numerics,
-                                       cfg.numerics.lattice, cfg.sweep, cfg.output)
+    The basis, filter and plan are built once so that their own checks
+    apply (the lattice checked itself when built); the rest no object owns."""
+    u, s, flt, num, sweep, out = (cfg.units, cfg.state, cfg.filter, cfg.numerics, cfg.sweep,
+                                  cfg.output)
     if num.levels < 2:
         raise ConfigError("numerics.levels must be at least 2")
     _section("units", OscillatorBasis, u.mass, u.frequency, num.levels, u.hbar)
@@ -229,7 +224,6 @@ def validate_config(cfg: "ExperimentConfig") -> "ExperimentConfig":
         raise ConfigError("state.width must be positive")
     _section("filter", WeightSpec, flt.kind, 0.0, flt.error)
     _section("plan", _plan, cfg, cfg.plan.interval_over_period * _period(cfg))
-    _section("numerics.lattice", Lattice, lat.x_min, lat.x_max, lat.points)
     if not 0 < num.gate_fraction < 0.1:
         raise ConfigError("numerics.gate_fraction must lie in (0, 0.1)")
     if num.gate_steps < 1:
@@ -312,8 +306,7 @@ def _engine_a(cfg, plan: StroboscopicPlan, final: bool) -> list:
 
 def _engine_b(cfg, plan: StroboscopicPlan, final: bool) -> list:
     u, num = cfg.units, cfg.numerics
-    lat = Lattice(num.lattice.x_min, num.lattice.x_max, num.lattice.points)
-    return run_stroboscopic(lat, plan, cfg.state.width, num.gate_fraction * _period(cfg),
+    return run_stroboscopic(num.lattice, plan, cfg.state.width, num.gate_fraction * _period(cfg),
                             u.mass, u.frequency, u.hbar, center=cfg.state.center,
                             gate_steps=num.gate_steps,
                             scan_at={plan.measurements} if final else None)
@@ -327,32 +320,20 @@ def _engine_c(cfg, plan: StroboscopicPlan, final: bool) -> list:
 ENGINES = {"A": _engine_a, "B": _engine_b, "C": _engine_c}
 
 
-def _chains(cfg, plans, final: bool) -> list:
-    """ENGINES[e](cfg, plan, final) for each configured engine e and each
-    plan, in that order, spread over the CPUs as the module docstring states."""
-    jobs = [functools.partial(ENGINES[engine], cfg, plan, final)
-            for engine in cfg.engines for plan in plans]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    k = min(len(plans), cpus or 1)
-    if k == 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(k) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
-
 def _records(cfg: "ExperimentConfig", ratios, final: bool) -> list:
     """ResultRecords of every configured engine at each interval/period
-    ratio; with `final`, only each chain's last measurement."""
-    plans = [_plan(cfg, r * _period(cfg)) for r in ratios]
-    chains = _chains(cfg, plans, final)
-    return [ResultRecord(engine, cfg.filter.kind, r, c.n, c.delta_a_eff, c.a_tilde, c.norm_squared)
-            for (engine, r), chain in zip(itertools.product(cfg.engines, ratios), chains)
-            for c in (chain[-1:] if final else chain)]
+    ratio; with `final`, only each chain's last measurement. The chains run
+    as the module docstring states."""
+    jobs = [(engine, r, _plan(cfg, r * _period(cfg))) for engine in cfg.engines for r in ratios]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    k = min(len(ratios), cpus or 1)
+    with ThreadPoolExecutor(k) as pool:
+        chains = (pool.map if k > 1 else map)(
+            lambda job: ENGINES[job[0]](cfg, job[2], final), jobs)
+        return [ResultRecord(engine, cfg.filter.kind, r, c.n, c.delta_a_eff, c.a_tilde,
+                             c.norm_squared)
+                for (engine, r, _), chain in zip(jobs, chains)
+                for c in (chain[-1:] if final else chain)]
 
 
 def run(cfg: "ExperimentConfig") -> list:

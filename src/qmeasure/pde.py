@@ -60,6 +60,8 @@ class BoundaryLeakError(RuntimeError):
 # Crank-Nicolson step; both at any omega
 TIME_STEP = 0.005
 GATE_STEP = 0.000625
+# outcomes per chain scan, on a window sized to the measured uncertainty
+SCAN_POINTS = 129
 # a Pade (2,2) step of dt is a Crank-Nicolson step of dt times each of these
 PADE = (0.5 - 1j * np.sqrt(3.0) / 6.0, 0.5 + 1j * np.sqrt(3.0) / 6.0)
 
@@ -244,12 +246,12 @@ def _scan(wavefn: GridWavefunction, op: TridiagonalOperator, error: float, gate_
 
 def run_stroboscopic(lattice: Lattice, plan: StroboscopicPlan, width: float,
                      gate_duration: float, mass: float, omega: float, hbar: float = 1.0,
-                     center: float = 0.0, gate_steps: int = 1, outcome_points: int = 129,
+                     center: float = 0.0, gate_steps: int = 1,
                      scan_at: set[int] | None = None) -> list[ChainRecord]:
     """Full grid simulation of the plan, starting from a Gaussian packet.
 
     Each measurement is scanned by gating the same pre-gate state at each of
-    `outcome_points` candidate outcomes; the imposed result's gate, of
+    SCAN_POINTS candidate outcomes; the imposed result's gate, of
     `gate_steps` Strang substeps none longer than GATE_STEP, then advances
     the chain, followed by free evolution across the quiescent interval in
     Pade steps no longer than TIME_STEP.
@@ -276,7 +278,7 @@ def run_stroboscopic(lattice: Lattice, plan: StroboscopicPlan, width: float,
 
     def scan(wavefn: GridWavefunction, seed):
         dist = _scan(wavefn.normalized(), free_op, plan.error, gate_duration, gate_steps,
-                     outcome_points, hbar, seed)
+                     SCAN_POINTS, hbar, seed)
         return dist.delta_a_eff, dist.a_tilde
 
     return _scan_chain(plan, wavefn, advance, scan, GridWavefunction.norm_squared, scan_at)

@@ -86,12 +86,12 @@ def qnd_commutator(basis, dt: float) -> float:
 _SCAN_POINTS = 801
 
 
-def _seeded_scan(state: EigenState, kind: str, error: float, points: int,
+def _seeded_scan(state: EigenState, kind: str, error: float,
                  seed: float | None) -> OutcomeDistribution:
     """Outcome scan of `state` on a self-sizing window centered on its mean."""
     mean, var = position_moments(state)
     return _self_sizing_scan(
-        lambda hw: outcome_distribution(state, error, kind=kind, points=points,
+        lambda hw: outcome_distribution(state, error, kind=kind, points=_SCAN_POINTS,
                                         halfwidth=hw, center=mean),
         error, var, seed)
 
@@ -178,7 +178,7 @@ def uncertainty_evolution(plan: StroboscopicPlan, state: EigenState,
     window is seeded from the previous scan's uncertainty.
     """
     def scan(s: EigenState, seed):
-        dist = _seeded_scan(s.normalized(), plan.filter_kind, plan.error, _SCAN_POINTS, seed)
+        dist = _seeded_scan(s.normalized(), plan.filter_kind, plan.error, seed)
         return dist.delta_a_eff, dist.a_tilde
 
     return _scan_chain(plan, state.normalized(), _eigen_advance(plan, state.basis), scan,
@@ -195,11 +195,9 @@ def apply_chain(plan: StroboscopicPlan, state: EigenState, final_a: float) -> Ei
     return EigenState(state.basis, _filter(plan, state.basis, float(final_a)) @ last.coefficients)
 
 
-def nth_outcome_distribution(plan: StroboscopicPlan, state: EigenState,
-                             points: int = _SCAN_POINTS) -> OutcomeDistribution:
+def nth_outcome_distribution(plan: StroboscopicPlan, state: EigenState) -> OutcomeDistribution:
     """Outcome distribution of the final (N-th) measurement of the plan."""
-    return _seeded_scan(_last_state(plan, state).normalized(), plan.filter_kind, plan.error,
-                        points, None)
+    return _seeded_scan(_last_state(plan, state).normalized(), plan.filter_kind, plan.error, None)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ def test_bad_config_file(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["run", "--config", str(path)]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+    assert "configuration error: cannot read configuration file: " in capsys.readouterr().err
 
 
 def test_unknown_engine(capsys):

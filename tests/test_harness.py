@@ -115,6 +115,35 @@ def test_object_errors_name_their_section(mapping, section):
         config_from_mapping(mapping)
 
 
+@pytest.mark.parametrize("mapping, message", [
+    ({"numerics": {"levels": 1}}, "numerics.levels must be at least 2"),
+    ({"state": {"width": 0.0}}, "state.width must be positive"),
+    ({"numerics": {"gate_fraction": 0.0}}, "numerics.gate_fraction must lie in (0, 0.1)"),
+    ({"numerics": {"gate_fraction": 0.1}}, "numerics.gate_fraction must lie in (0, 0.1)"),
+    ({"sweep": {"start_over_period": 0.0}},
+     "sweep: need 0 < start_over_period <= stop_over_period"),
+    ({"sweep": {"start_over_period": 1.0, "stop_over_period": 0.5}},
+     "sweep: need 0 < start_over_period <= stop_over_period"),
+    ({"sweep": {"points": 1}}, "sweep.points must be at least 2"),
+    ({"output": {"directory": ""}}, "output.directory must be nonempty"),
+    ({"output": {"formats": ["csv", "pdf"]}},
+     "output.formats must be a nonempty subset of ('csv', 'json', 'svg')"),
+    ({"output": {"formats": []}},
+     "output.formats must be a nonempty subset of ('csv', 'json', 'svg')"),
+    ({"filter": {"kind": 1}}, "filter.kind: expected a string"),
+    ({"engines": "A"}, "engines: expected a list of strings"),
+    ({"engines": ["A", 3]}, "engines: expected a list of strings"),
+    ({"units": [1.0]}, "units: expected an object"),
+    ({"numerics": {"lattice": 2401}}, "numerics.lattice: expected an object"),
+    ({"plan": {"results": 0.5}}, "plan.results: expected a policy name or a list of outcomes"),
+    ({"numerics": {"lattice": {"x_min": 1.0, "x_max": 1.0}}},
+     "numerics.lattice: x_max must exceed x_min"),
+])
+def test_config_checks(mapping, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_mapping(mapping)
+
+
 def test_gate_substeps_checked_only_for_engine_b():
     """Engines A and C have no lattice time step to stay within."""
     cfg = config_from_mapping({"numerics": {"gate_fraction": 0.01}})
@@ -140,6 +169,9 @@ def test_results_sequence_length():
     config_from_mapping({"plan": {"measurements": 4, "results": [0.0, 0.1, 0.2]}})
     with pytest.raises(ConfigError):
         config_from_mapping({"plan": {"measurements": 4, "results": [0.0]}})
+    # a policy name instead of a list
+    cfg = config_from_mapping({"plan": {"results": "alternating", "result_value": 0.5}})
+    assert list(harness._plan(cfg, 1.0).imposed_results()[:3]) == [0.5, -0.5, 0.5]
 
 
 def test_config_hash_canonical():
@@ -248,7 +280,7 @@ def test_sweep_every_engine(tmp_path, packet):
         # three points: on two CPUs two chain threads share the nine
         # chains, and no engine's run all on one thread
         "sweep": {"start_over_period": 0.25, "stop_over_period": 0.5, "points": 3},
-        "numerics": {"gate_steps": 50, "lattice": {"points": 1201}},
+        "numerics": {"lattice": {"points": 1201}},
         "output": {"directory": str(tmp_path)},
     })
     records = sweep(cfg)
@@ -267,7 +299,7 @@ def test_sweep_every_engine(tmp_path, packet):
     for r in records[3:6]:
         plan = StroboscopicPlan(r.dt_over_T * 2.0 * np.pi, 4)
         res = run_stroboscopic(Lattice(points=1201), plan, 5.0, 1e-5 * 2.0 * np.pi, 0.5, 1.0,
-                               gate_steps=50, scan_at={4})[-1]
+                               scan_at={4})[-1]
         assert (r.delta_a_eff, r.a_tilde, r.norm) == (res.delta_a_eff, res.a_tilde,
                                                       res.norm_squared)
     # the packet fixture is the default config's initial state
@@ -352,7 +384,7 @@ def test_distribution_emission(tmp_path):
     cfg = config_from_mapping({
         "engines": ["C"],
         "plan": {"measurements": 2},
-        "output": {"directory": str(tmp_path), "formats": ["csv", "json"]},
+        "output": {"directory": str(tmp_path), "formats": ["csv", "json", "svg"]},
     })
     dist = distribution(cfg)
     total = np.trapezoid(dist.density, dist.outcomes)
@@ -363,7 +395,21 @@ def test_distribution_emission(tmp_path):
     doc = json.loads((tmp_path / "distribution.json").read_text())
     assert doc["distribution"]["engine"] == "C"
     assert len(doc["distribution"]["outcomes"]) == len(dist.outcomes)
-    assert {p.name for p in paths} == {"distribution.csv", "distribution.json"}
+    assert {p.name for p in paths} == {"distribution.csv", "distribution.json",
+                                       "distribution.svg"}
+    root = ET.fromstring((tmp_path / "distribution.svg").read_text())
+    assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 1
+
+
+def test_single_measurement_chart(tmp_path):
+    """A one-measurement run has a single x value; its chart still parses."""
+    cfg = config_from_mapping({
+        "plan": {"measurements": 1},
+        "output": {"directory": str(tmp_path), "formats": ["svg"]},
+    })
+    (path,) = emit(cfg, run(cfg), "run")
+    root = ET.fromstring(path.read_text())
+    assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 2
 
 
 def test_validate_config_is_idempotent():

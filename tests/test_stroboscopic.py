@@ -75,8 +75,8 @@ def test_chain_against_packet_engine(packet):
 def test_apply_chain_consistency(packet):
     """nth_outcome_distribution equals manual norms of apply_chain states."""
     plan = StroboscopicPlan(T / 2.0, 3)
-    dist = nth_outcome_distribution(plan, packet, points=101)
-    idx = [10, 50, 90]
+    dist = nth_outcome_distribution(plan, packet)
+    idx = [80, 400, 720]
     manual = []
     for i in idx:
         final = apply_chain(plan, packet, float(dist.outcomes[i]))
@@ -164,7 +164,7 @@ def test_mini_sweep_finds_half_period(packet):
 def test_outcome_amplitudes_reused_by_chain(basis, packet):
     # scanning measurement 1 through the plan equals a direct scan
     plan = StroboscopicPlan(T / 2.0, 1)
-    dist = nth_outcome_distribution(plan, packet, points=201)
+    dist = nth_outcome_distribution(plan, packet)
     amps = outcome_amplitudes(packet, "gaussian", 1.0, dist.outcomes)
     norms = np.sum(np.abs(amps) ** 2, axis=1)
     dens = norms / np.trapezoid(norms, dist.outcomes)
@@ -178,7 +178,7 @@ def test_every_engine_walks_the_plan_into_chain_records(packet):
     gate = 1e-5 * T
     a = stroboscopic_widths(5.0, plan.interval, plan.measurements, plan.error, gate, 0.5, 1.0,
                             results=plan.results)
-    b = run_stroboscopic(Lattice(points=1201), plan, 5.0, gate, 0.5, 1.0, gate_steps=50)
+    b = run_stroboscopic(Lattice(points=1201), plan, 5.0, gate, 0.5, 1.0)
     c = uncertainty_evolution(plan, packet)
     for chain in (a, b, c):
         assert all(type(r) is ChainRecord for r in chain)
