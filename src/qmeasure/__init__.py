@@ -21,7 +21,6 @@ del _name
 from .collapse import (
     GridCoverageError,
     OutcomeDistribution,
-    apply_impulsive,
     outcome_amplitudes,
     outcome_distribution,
 )
@@ -70,7 +69,6 @@ from .pde import (
     GridWavefunction,
     Lattice,
     StepFilterUnsupportedError,
-    apply_hamiltonian,
     crank_nicolson_evolve,
     effective_hamiltonian,
     run_stroboscopic,
@@ -81,12 +79,10 @@ from .stroboscopic import (
     ChainRecord,
     ChainUnderflowError,
     StroboscopicPlan,
-    UncertaintyCurve,
     apply_chain,
     asymptotic_uncertainty,
     nth_outcome_distribution,
     qnd_commutator,
-    sweep_quiescent_time,
     uncertainty_evolution,
 )
 from .weights import (

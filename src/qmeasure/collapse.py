@@ -37,16 +37,11 @@ from .oscillator import (
     eigenfunction_matrix,
     position_moments,
 )
-from .weights import WeightSpec, quadrature_nodes, weight_matrix
+from .weights import WeightSpec, quadrature_nodes
 
 
 class GridCoverageError(RuntimeError):
     """Raised when an outcome grid leaves visible probability at its edges."""
-
-
-def apply_impulsive(state: EigenState, spec: WeightSpec) -> EigenState:
-    """Collapse rule psi -> w_a psi in the truncated basis (not renormalized)."""
-    return EigenState(state.basis, weight_matrix(state.basis, spec).matrix @ state.coefficients)
 
 
 def outcome_amplitudes(state: EigenState, kind: str, error: float, outcomes: np.ndarray) -> np.ndarray:
@@ -171,7 +166,9 @@ class OutcomeDistribution:
     def from_norms(cls, outcomes: np.ndarray, norms_squared: np.ndarray) -> "OutcomeDistribution":
         """Summarize raw collapsed norms ||w_a psi||^2 into a distribution,
         P(a) ~ ||w_a psi||^2 (the Born rule in the sharp-filter limit).
-        GridCoverageError when the two end samples carry over 1e-6 of it."""
+        GridCoverageError when the two end samples carry over 1e-6 of it; on
+        a chain's self-sizing scan window that mass is a truncated basis's
+        spread, so the message names numerics.levels."""
         outcomes = np.asarray(outcomes, dtype=float)
         raw = np.asarray(norms_squared, dtype=float)
         total = np.trapezoid(raw, outcomes)
@@ -182,7 +179,8 @@ class OutcomeDistribution:
         boundary = float((density[0] + density[-1]) * h)
         if boundary > 1e-6:
             raise GridCoverageError(
-                f"probability mass {boundary:.3e} at the grid edge; widen the outcome grid"
+                f"probability mass {boundary:.3e} at the scan window's edges exceeds 1e-06; "
+                "raise numerics.levels"
             )
         a_tilde = _refine_peak(outcomes, density)
         daeff = float(np.sqrt(2.0 * np.trapezoid((outcomes - a_tilde) ** 2 * density, outcomes)))

@@ -18,7 +18,8 @@ memoized weight matrices and quadrature rules, which are read-only. Records
 come back in plan order, and so does the first failure; chains not started
 by then never run. With k = 1 (one CPU, or a `run` or `validate`, whose plan
 is one chain) the builtin `map` runs them in the calling thread and no
-thread starts. The output bytes do not depend on the CPU count, and
+thread starts. At a fixed BLAS thread count (one when qmeasure is imported
+before numpy) the output bytes do not depend on the CPU count, and
 in-process tracing sees every chain.
 Emission is deterministic: fixed column order, fixed float formatting, a
 content hash of the settings in every JSON document, and no wall-clock

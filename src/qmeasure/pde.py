@@ -156,16 +156,6 @@ def _factor(lower: np.ndarray, diagonal: np.ndarray, upper: np.ndarray):
     return dl, d, du, du2, ipiv
 
 
-def apply_hamiltonian(op: TridiagonalOperator, values: np.ndarray) -> np.ndarray:
-    """H values = B^-1 (M values)."""
-    out = op.diagonal * values
-    out[:-1] += op.upper * values[1:]
-    out[1:] += op.lower * values[:-1]
-    ones = np.ones(values.size - 1, dtype=complex)
-    factors = _factor(ones, np.full(values.size, 10.0 + 0j), ones)
-    return zgttrs(*factors, 12.0 * out, overwrite_b=True)[0]
-
-
 def crank_nicolson_evolve(op: TridiagonalOperator, values: np.ndarray, dt: float,
                           steps: int, hbar: float = 1.0, substeps=(1.0,)) -> np.ndarray:
     """Advance `steps` steps of size dt; returns new values. Each step takes,

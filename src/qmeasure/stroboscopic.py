@@ -16,7 +16,6 @@ supply only how their state advances, how it is scanned and its norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -228,50 +227,3 @@ def asymptotic_uncertainty(plan: StroboscopicPlan, state: EigenState) -> Asympto
     reference = head[0].delta_a_eff if head else float("nan")
     stabilized = bool(head and abs(last.delta_a_eff - reference) <= 0.01 * last.delta_a_eff)
     return AsymptoticResult(**vars(last), stabilized=stabilized, reference=reference)
-
-
-@dataclass(frozen=True)
-class UncertaintyCurve:
-    """Asymptotic uncertainty as a function of the quiescent interval;
-    `results` holds each interval's AsymptoticResult."""
-
-    intervals: np.ndarray
-    period: float
-    results: tuple
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([r.delta_a_eff for r in self.results])
-
-    @property
-    def intervals_over_period(self) -> np.ndarray:
-        return self.intervals / self.period
-
-    def minima_indices(self) -> list[int]:
-        """Local minima of the curve; endpoints compare against their one
-        neighbor, interior points against both (ties allowed on the left)."""
-        v = self.values
-        out = []
-        for i in range(len(v)):
-            left_ok = i == 0 or v[i] <= v[i - 1]
-            right_ok = i == len(v) - 1 or v[i] < v[i + 1]
-            if left_ok and right_ok:
-                out.append(i)
-        return out
-
-
-def sweep_quiescent_time(
-    state: EigenState,
-    intervals: Sequence[float],
-    measurements: int = 16,
-    filter_kind: str = "gaussian",
-    error: float = 1.0,
-    results: str | tuple = "constant",
-    result_value: float = 0.0,
-) -> UncertaintyCurve:
-    """Asymptotic uncertainty over a grid of quiescent intervals."""
-    intervals = np.asarray(intervals, dtype=float)
-    return UncertaintyCurve(intervals, state.basis.period, tuple(
-        asymptotic_uncertainty(StroboscopicPlan(float(dt), measurements, filter_kind, error,
-                                                results, result_value), state)
-        for dt in intervals))

@@ -159,6 +159,16 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_grid_coverage_failure_names_a_config_key(tmp_path, capsys):
+    # at error 0.5 the 64-level basis spreads the density past the scan
+    # window; 96 levels and more run this config
+    cfg = _write_config(tmp_path, {"filter": {"error": 0.5}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: GridCoverageError: ")
+    assert "numerics.levels" in err
+
+
 @pytest.mark.parametrize("mapping, message", [
     # the packet reaches the walls of this lattice before any measurement
     ({"engines": ["B"],

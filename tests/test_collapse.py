@@ -7,7 +7,6 @@ from qmeasure import (
     OscillatorBasis,
     OutcomeDistribution,
     WeightSpec,
-    apply_impulsive,
     outcome_amplitudes,
     outcome_distribution,
     position_wavefunction,
@@ -18,15 +17,6 @@ from qmeasure.oscillator import _legendre_rule, domain_halfwidth, eigenfunction_
 from qmeasure.weights import quadrature_nodes
 
 SQRT26 = 5.0990195135927845
-
-
-def test_apply_impulsive_matches_matrix(basis, packet):
-    spec = WeightSpec("gaussian", center=0.7)
-    collapsed = apply_impulsive(packet, spec)
-    direct = weight_matrix(basis, spec).matrix @ packet.coefficients
-    assert np.allclose(collapsed.coefficients, direct, atol=1e-12)
-    # filtering can only remove probability
-    assert collapsed.norm() < packet.norm()
 
 
 def test_outcome_amplitudes_match_matrix_path(basis, packet):

@@ -74,6 +74,15 @@ def test_readme_config_example_loads():
     assert cfg.output.formats == ("csv", "json", "svg")
 
 
+def test_readme_library_example_runs(capsys):
+    """The README's library example runs on the names qmeasure exports."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 16 + 20 + 20
+
+
 def test_type_coercion():
     cfg = config_from_mapping({"plan": {"measurements": 8.0}})
     assert cfg.plan.measurements == 8

@@ -8,12 +8,13 @@ from qmeasure import (
     StroboscopicPlan,
     apply_chain,
     asymptotic_uncertainty,
+    config_from_mapping,
     nth_outcome_distribution,
     outcome_amplitudes,
     qnd_commutator,
     run_stroboscopic,
     stroboscopic_widths,
-    sweep_quiescent_time,
+    sweep,
     uncertainty_evolution,
 )
 
@@ -107,18 +108,31 @@ def test_asymptotic_matches_full_chain(packet):
 
 def test_asymptotic_uncertainty_is_the_record_of_measurement_n(packet):
     """asymptotic_uncertainty is measurement N's ChainRecord from the chain
-    scanned at N-2 and N, and sweep_quiescent_time collects those records."""
+    scanned at N-2 and N."""
     plan = StroboscopicPlan(T / 2.0, 8)
     res = asymptotic_uncertainty(plan, packet)
     assert isinstance(res, ChainRecord) and res.n == 8
     last = uncertainty_evolution(plan, packet, scan_at={6, 8})[-1]
     assert (res.delta_a_eff, res.a_tilde, res.norm_squared) == (
         last.delta_a_eff, last.a_tilde, last.norm_squared)
-    intervals = np.array([0.25, 0.5, 0.75]) * T
-    curve = sweep_quiescent_time(packet, intervals, measurements=8)
-    expected = tuple(asymptotic_uncertainty(StroboscopicPlan(dt, 8), packet) for dt in intervals)
-    assert curve.results == expected
-    assert np.array_equal(curve.values, [r.delta_a_eff for r in expected])
+
+
+def _engine_c_sweep(start: float, stop: float, points: int, measurements: int) -> list:
+    """`qmeasure sweep`'s rows for engine C on the `packet` fixture's state."""
+    return sweep(config_from_mapping({
+        "engines": ["C"], "plan": {"measurements": measurements}, "numerics": {"levels": 64},
+        "sweep": {"start_over_period": start, "stop_over_period": stop, "points": points}}))
+
+
+def test_sweep_takes_engine_c_rows_from_asymptotic_uncertainty(packet):
+    """Each engine C row of a sweep is asymptotic_uncertainty's record of
+    measurement N at that interval, to the last bit."""
+    rows = _engine_c_sweep(0.25, 0.75, 3, 8)
+    assert [(r.engine, r.n) for r in rows] == [("C", 8)] * 3
+    for row in rows:
+        expected = asymptotic_uncertainty(StroboscopicPlan(row.dt_over_T * T, 8), packet)
+        assert (row.delta_a_eff, row.a_tilde, row.norm) == (
+            expected.delta_a_eff, expected.a_tilde, expected.norm_squared)
 
 
 def test_quarter_period_fixed_point(packet):
@@ -149,16 +163,16 @@ def test_step_chain_runs(packet):
     assert recs[-1].delta_a_eff < recs[0].delta_a_eff
 
 
-def test_mini_sweep_finds_half_period(packet):
-    intervals = np.array([0.40, 0.45, 0.50, 0.55, 0.60]) * T
-    curve = sweep_quiescent_time(packet, intervals, measurements=8)
-    assert curve.values.shape == (5,)
-    minima = curve.minima_indices()
-    assert 2 in minima
-    assert curve.intervals_over_period[2] == pytest.approx(0.5)
+def test_mini_sweep_finds_half_period():
+    rows = _engine_c_sweep(0.4, 0.6, 5, 8)
+    values = [r.delta_a_eff for r in rows]
+    assert len(values) == 5
+    # the half period is a local minimum
+    assert values[2] <= values[1] and values[2] < values[3]
+    assert rows[2].dt_over_T == pytest.approx(0.5)
     # half period beats the surrounding intervals clearly
-    assert curve.values[2] < 0.95 * curve.values[0]
-    assert curve.values[2] < 0.95 * curve.values[4]
+    assert values[2] < 0.95 * values[0]
+    assert values[2] < 0.95 * values[4]
 
 
 def test_outcome_amplitudes_reused_by_chain(basis, packet):
