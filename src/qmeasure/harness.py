@@ -11,10 +11,11 @@ go through that table alone, and `_records` turns chain records into
 ResultRecords in one place.
 The chains of a plan list are independent, so `_records` maps every
 engine's over k = min(plans, CPUs) threads of the calling process with
-`ThreadPoolExecutor.map`, taken in plan order. A chain's costly parts,
-LAPACK's tridiagonal solves and numpy's array loops and matrix products,
-release the interpreter lock, so the threads overlap; they share the
-memoized weight matrices and quadrature rules, which are read-only. Records
+`ThreadPoolExecutor.map`, taken in plan order. On two threads of 2 cores
+LAPACK's tridiagonal solves overlap (1.6-1.9x), numpy's loops over 2401-point
+arrays do not (0.4-0.9x), and two of engine B's free intervals ran 1.8-1.9x
+as fast when the host gave both cores. The threads share the memoized weight
+matrices and quadrature rules, which are read-only. Records
 come back in plan order, and so does the first failure; chains not started
 by then never run. With k = 1 (one CPU, or a `run` or `validate`, whose plan
 is one chain) the builtin `map` runs them in the calling thread and no

@@ -15,16 +15,16 @@ evolve call factors B + zM once (LAPACK zgttrf), and every step is one
 tridiagonal product and one tridiagonal solve. The scheme is unitary up to
 roundoff.
 
-The free intervals take the diagonal Pade (2,2) step of exp(-iH dt), which
-is fourth order and unitary (van Dijk & Toyama 2007, Phys. Rev. E
-75:036707): the product of the Crank-Nicolson steps of the complex lengths
-c dt and c* dt, c = 1/2 - i sqrt(3)/6, each factored once per evolve call.
-Alone each of those grows or damps some modes by up to about 1.5x, so they
-alternate step by step. The rounded numerator B - zM of one is exactly the
-conjugate of the rounded B + z'M of the other, so the pair keeps the norm
-to 7e-13 over 8 periods at the free step; forming the numerator as
-2 B psi - (B + zM) psi instead let it drift by up to 2.3e-12. H's
-eigenvalues are real, so B + zM stays regular at these z.
+The free intervals take the diagonal Pade (4,4) step of exp(-iH dt), which
+is eighth order and unitary (van Dijk & Toyama 2007, Phys. Rev. E
+75:036707): q(W)^-1 q(-W), W = -iH dt, with q(w) = prod_j (1 - w/r_j) the
+Pade denominator, is the product of the Crank-Nicolson steps of the complex
+lengths f_j dt, f_j = 2/r_j, each factored once per evolve call. Alone each
+grows or damps some modes by up to about 2.9x, so they alternate step by
+step. The f_j are two conjugate pairs, and the rounded numerator B - zM of
+each is exactly the conjugate of the rounded B + z'M of its partner, so over
+8 periods the norm moves by under 1e-13 (forming it as 2 B psi - (B + zM) psi
+let the (2,2) step drift by 2.3e-12). B + zM is regular: H's spectrum is real.
 
 A measurement of duration tau with result a is the propagator of
 H - i hbar kappa (x - a)^2, the restricted path integral. The gate splits it
@@ -58,12 +58,14 @@ class BoundaryLeakError(RuntimeError):
 
 # engine B's free step, one Pade step, and its longest gate substep, one
 # Crank-Nicolson step; both at any omega
-TIME_STEP = 0.005
+TIME_STEP = 0.02
 GATE_STEP = 0.000625
 # outcomes per chain scan, on a window sized to the measured uncertainty
 SCAN_POINTS = 129
-# a Pade (2,2) step of dt is a Crank-Nicolson step of dt times each of these
-PADE = (0.5 - 1j * np.sqrt(3.0) / 6.0, 0.5 + 1j * np.sqrt(3.0) / 6.0)
+# a Pade (4,4) step of dt is a Crank-Nicolson step of dt times each f_j = 2/r_j,
+# r_j the roots of q(w) = 1 - w/2 + 3w^2/28 - w^3/84 + w^4/1680, by imaginary part
+PADE = (0.18313248053143527 - 0.23132522602625522j, 0.31686751946856473 - 0.09488202514221687j,
+        0.31686751946856473 + 0.09488202514221687j, 0.18313248053143527 + 0.23132522602625522j)
 
 
 @dataclass(frozen=True)
@@ -156,28 +158,37 @@ def _factor(lower: np.ndarray, diagonal: np.ndarray, upper: np.ndarray):
     return dl, d, du, du2, ipiv
 
 
-def crank_nicolson_evolve(op: TridiagonalOperator, values: np.ndarray, dt: float,
-                          steps: int, hbar: float = 1.0, substeps=(1.0,)) -> np.ndarray:
-    """Advance `steps` steps of size dt; returns new values. Each step takes,
-    for each fraction f of `substeps` in turn, the Crank-Nicolson step of
-    length f dt: plain Crank-Nicolson at the default f = 1, and the
-    fourth-order Pade step with PADE.
-
-    Raises LinAlgError when some B + i f dt M/2hbar is singular."""
+def _stepper(op: TridiagonalOperator, dt: float, hbar: float, substeps):
+    """Factors 6 (B + i f dt M/2hbar) once for each fraction f of `substeps`, and
+    returns advance(values, steps), which takes one substep per f in each step."""
     kernels = []
     for f in substeps:
         # both sides times 6, so that 6 B = tridiag(1/2, 5, 1/2) is exact
         z6 = 6.0 * (1j * f * dt / (2.0 * hbar))
         kernels.append((_factor(0.5 + z6 * op.lower, 5.0 + z6 * op.diagonal, 0.5 + z6 * op.upper),
                         (0.5 - z6 * op.lower, 5.0 - z6 * op.diagonal, 0.5 - z6 * op.upper)))
-    psi = values
-    for _ in range(steps):
-        for factors, (lower, diagonal, upper) in kernels:
-            y = diagonal * psi
-            y[1:] += lower * psi[:-1]
-            y[:-1] += upper * psi[1:]
-            psi = zgttrs(*factors, y, overwrite_b=True)[0]
-    return psi
+
+    def advance(values: np.ndarray, steps: int) -> np.ndarray:
+        psi = values
+        for _ in range(steps):
+            for factors, (lower, diagonal, upper) in kernels:
+                y = diagonal * psi
+                y[1:] += lower * psi[:-1]
+                y[:-1] += upper * psi[1:]
+                psi = zgttrs(*factors, y, overwrite_b=True)[0]
+        return psi
+
+    return advance
+
+
+def crank_nicolson_evolve(op: TridiagonalOperator, values: np.ndarray, dt: float,
+                          steps: int, hbar: float = 1.0, substeps=(1.0,)) -> np.ndarray:
+    """Advance `steps` steps of size dt; returns new values. Each step takes, for each
+    fraction f of `substeps` in turn, the Crank-Nicolson step of length f dt: plain
+    Crank-Nicolson at the default f = 1, and the eighth-order Pade step with PADE.
+
+    Raises LinAlgError when some B + i f dt M/2hbar is singular."""
+    return _stepper(op, dt, hbar, substeps)(values, steps)
 
 
 def _leak_check(wavefn: GridWavefunction, stage: str):
@@ -189,18 +200,18 @@ def _leak_check(wavefn: GridWavefunction, stage: str):
 
 def _gate(wavefn: GridWavefunction, op: TridiagonalOperator, error: float, duration: float,
           steps: int, hbar: float):
-    """Engine B's gate on `wavefn` as a function `gate(a)` of the outcome. The leading
-    half substep is taken once, here; `close=False` skips the closing, unitary one."""
-    half = duration / (2 * steps)
-    lead = crank_nicolson_evolve(op, wavefn.values, half, 1, hbar)
+    """Engine B's gate on `wavefn` as `gate(a)`; the half substep is factored and the
+    leading one taken once, here. `close=False` skips the closing, unitary one."""
+    half = _stepper(op, duration / (2 * steps), hbar, (1.0,))
+    lead = half(wavefn.values, 1)
     root_error = error * np.sqrt(steps)
 
     def gate(a: float, close: bool = True) -> np.ndarray:
         filt = evaluate_weight(WeightSpec("gaussian", a, root_error), wavefn.lattice.x)
         psi = lead * filt
         for _ in range(steps - 1):
-            psi = crank_nicolson_evolve(op, psi, half, 2, hbar) * filt
-        return crank_nicolson_evolve(op, psi, half, 1, hbar) if close else psi
+            psi = half(psi, 2) * filt
+        return half(psi, 1) if close else psi
 
     return gate
 

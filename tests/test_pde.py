@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, solve, solve_banded
@@ -17,6 +19,7 @@ from qmeasure import (
     sample_gaussian,
     stroboscopic_widths,
 )
+from qmeasure import pde
 from qmeasure.pde import PADE, TIME_STEP, TridiagonalOperator, _gate, _scan
 
 MASS = 0.5
@@ -152,38 +155,86 @@ def test_gate_matches_banded_formulation():
     assert np.max(np.abs(values - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
+def _pade_denominator(dense_w):
+    """q(W) for the diagonal Pade (4,4) approximant exp(W) ~ q(W)^-1 q(-W), with
+    q_j = (8 - j)! 4! / (8! j! (4 - j)!) (-1)^j."""
+    power, total = np.eye(len(dense_w)), np.zeros_like(dense_w)
+    for j in range(5):
+        total = total + (-1) ** j * factorial(8 - j) * factorial(4) / (
+            factorial(8) * factorial(j) * factorial(4 - j)) * power
+        power = power @ dense_w
+    return total
+
+
 def test_pade_steps_match_dense_product():
-    """A Pade step is the product of the Crank-Nicolson steps of the complex
-    lengths c dt and c* dt, c = 1/2 - i sqrt(3)/6, here with the
-    non-Hermitian gate on."""
+    """A Pade step is the (4,4) rational function q(W)^-1 q(-W) of
+    W = -iH dt, H = B^-1 M, here with the non-Hermitian gate on."""
     rng = np.random.default_rng(13)
     lat = Lattice(-5.0, 5.0, 64)
     op = _absorbing(lat, 0.3, 2.0)
-    dense, mass = _dense(op), _mass(64)
     dt, steps = 0.01, 7
+    w = -1j * dt * solve(_mass(64), _dense(op))
+    step = solve(_pade_denominator(w), _pade_denominator(-w))
     psi = rng.normal(size=64) + 1j * rng.normal(size=64)
-    expected = psi
-    for _ in range(steps):
-        for c in (0.5 - 1j * np.sqrt(3.0) / 6.0, 0.5 + 1j * np.sqrt(3.0) / 6.0):
-            z = 1j * c * dt / 2.0
-            expected = solve(mass + z * dense, (mass - z * dense) @ expected)
+    expected = np.linalg.matrix_power(step, steps) @ psi
     values = crank_nicolson_evolve(op, psi, dt, steps, substeps=PADE)
     assert np.max(np.abs(values - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
-def test_pade_step_is_fourth_order():
+def test_pade_fractions_are_conjugate_pairs_summing_to_one():
+    """The substep lengths add up to the step, and each numerator has the
+    exact conjugate of its partner's denominator."""
+    assert sum(PADE) == pytest.approx(1.0, abs=1e-15)
+    assert len(set(PADE)) == 4 and set(PADE) == {f.conjugate() for f in PADE}
+
+
+def test_pade_step_is_eighth_order():
     """Against exact propagation on the same lattice, exp(-iHt) with
-    H = B^-1 M, the Pade error after t = 1 falls about 16-fold each time dt
-    halves (Crank-Nicolson's falls about 4-fold)."""
+    H = B^-1 M, the Pade error after t = 1 falls about 256-fold each time dt
+    halves (232 and 250 from 8 to 16 to 32 steps)."""
     lat = Lattice(-10.0, 10.0, 201)
     op = effective_hamiltonian(lat, MASS, OMEGA)
     psi = sample_gaussian(lat, 1.0, center=1.0).values
     exact = expm(-1j * solve(_mass(lat.points), _dense(op))) @ psi
     errors = [np.linalg.norm(crank_nicolson_evolve(op, psi, 1.0 / steps, steps,
                                                    substeps=PADE) - exact)
-              for steps in (10, 20, 40)]
+              for steps in (8, 16, 32)]
     for coarse, fine in zip(errors, errors[1:]):
-        assert 14.0 < coarse / fine < 18.0
+        assert 200.0 < coarse / fine < 300.0
+
+
+def _counting(monkeypatch, name):
+    """Counts the calls of the LAPACK routine `name` made through qmeasure.pde."""
+    calls = []
+    routine = getattr(pde, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return routine(*args, **kwargs)
+
+    monkeypatch.setattr(pde, name, counted)
+    return calls
+
+
+def test_half_period_interval_solve_count(monkeypatch):
+    """One T/2 interval of a chain makes 2 solves for the gate's half steps
+    and 4 ceil(pi/0.02) = 632 for its free interval, in Pade (4,4) steps of
+    TIME_STEP (the (2,2) steps of 0.005 made 1,258)."""
+    solves = _counting(monkeypatch, "zgttrs")
+    run_stroboscopic(COARSE, StroboscopicPlan(T / 2.0, 2), 5.0, 1e-5 * T, MASS, OMEGA,
+                     scan_at=set())
+    assert len(solves) == 2 + 632
+
+
+def test_scan_factors_its_gate_once(monkeypatch):
+    """A scan of gate_steps 3 factors the half-step matrix once, however
+    many outcomes it gates."""
+    wavefn = sample_gaussian(COARSE, 2.0, center=0.4)
+    op = effective_hamiltonian(COARSE, MASS, OMEGA)
+    factorizations = _counting(monkeypatch, "zgttrf")
+    for points in (33, 65):
+        _scan(wavefn, op, 1.0, 0.005, 3, points, 1.0, None)
+    assert len(factorizations) == 2
 
 
 def test_pade_norm_drift_over_eight_periods():
@@ -312,12 +363,14 @@ def test_single_measurement_uncertainty():
 
 def test_headline_point_within_a_tenth_percent():
     """At dt = T/2, n = 16, the default lattice reads engine A's width to
-    0.1% (+0.0034%; with Crank-Nicolson free steps +0.019%, and with a
-    three-point stencil +0.75%)."""
+    0.1%, and with Pade (4,4) free steps to 0.002% (+0.0012%; +0.0034% with
+    (2,2) steps of 0.005, +0.019% with Crank-Nicolson free steps, and +0.75%
+    with a three-point stencil)."""
     plan = StroboscopicPlan(T / 2.0, 16)
     rec = run_stroboscopic(Lattice(), plan, 5.0, 1e-5 * T, MASS, OMEGA, scan_at={16})[-1]
     exact = stroboscopic_widths(5.0, T / 2.0, 16, 1.0, 1e-5 * T, MASS, OMEGA)[-1]
     assert rec.delta_a_eff == pytest.approx(exact.delta_a_eff, rel=1e-3)
+    assert rec.delta_a_eff == pytest.approx(exact.delta_a_eff, rel=2e-5)
 
 
 def test_scan_subset():
