@@ -169,6 +169,7 @@ def stroboscopic_widths(
     center: float = 0.0,
     results: str | Sequence[float] = "constant",
     result_value: float = 0.0,
+    scan_at: set[int] | None = None,
 ) -> list[ChainRecord]:
     """Effective uncertainties along a stroboscopic sequence.
 
@@ -176,7 +177,8 @@ def stroboscopic_widths(
     the packet just before that measurement, whose outcome therefore scatters
     with delta_a_eff = sqrt(error^2 + width_n^2) around the packet center
     (a_tilde); norm_squared is the packet's. Measurements 1..N-1 are then
-    imposed with the given results and the packet evolved onward.
+    imposed with the given results and the packet evolved onward. `scan_at`
+    restricts which measurements get a record (all by default).
     """
     if gate_duration <= 0:
         raise ValueError("gate_duration must be positive")
@@ -188,4 +190,4 @@ def stroboscopic_widths(
 
     return _scan_chain(plan, GaussianPacket.from_width(width, center=center), advance,
                        lambda p, seed: (impulsive_uncertainty(p.width, error), p.center),
-                       lambda p: p.norm_squared)
+                       lambda p: p.norm_squared, scan_at)

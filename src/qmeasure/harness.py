@@ -3,12 +3,12 @@
 A single JSON-serializable configuration describes the physical setup, the
 measurement plan, per-engine numerics, and the output layout. `ENGINES`
 maps each engine letter to an adapter that computes one chain,
-(cfg, plan, final) -> list of ChainRecords: A (closed-form Gaussian
-packets), B (lattice Pade free steps with Strang-split gates), C (eigenbasis
-filter-matrix chains). With `final` set an adapter need only scan the last
-measurement, whose record comes last. `run`, `sweep` and `cross_validate`
-go through that table alone, and `_records` turns chain records into
-ResultRecords in one place.
+(cfg, plan, scan_at) -> the ChainRecords of exactly the measurements in
+`scan_at` (None: all of them), in order: A (closed-form Gaussian packets), B
+(lattice Pade free steps with Strang-split gates), C (eigenbasis
+filter-matrix chains). `run` and `cross_validate` scan every measurement,
+`sweep` only the last; all go through that table alone, and `_records`
+turns chain records into ResultRecords in one place.
 The chains of a plan list are independent, so `_records` maps every
 engine's over k = min(plans, CPUs) threads of the calling process with
 `ThreadPoolExecutor.map`, taken in plan order. On two threads of 2 cores
@@ -43,8 +43,7 @@ from .collapse import OutcomeDistribution
 from .gaussian_analytic import stroboscopic_widths
 from .oscillator import OscillatorBasis, project_gaussian
 from .pde import Lattice, _check_gate_steps, run_stroboscopic
-from .stroboscopic import (StroboscopicPlan, asymptotic_uncertainty, nth_outcome_distribution,
-                           uncertainty_evolution)
+from .stroboscopic import StroboscopicPlan, nth_outcome_distribution, uncertainty_evolution
 from .weights import WeightSpec
 
 
@@ -297,50 +296,47 @@ def _plan(cfg, interval: float) -> StroboscopicPlan:
                             cfg.filter.error, p.results, p.result_value)
 
 
-def _engine_a(cfg, plan: StroboscopicPlan, final: bool) -> list:
-    # the closed form is cheap: it always walks the whole chain
+def _engine_a(cfg, plan: StroboscopicPlan, scan_at) -> list:
     u = cfg.units
     tau = cfg.numerics.gate_fraction * _period(cfg)
     return stroboscopic_widths(cfg.state.width, plan.interval, plan.measurements, plan.error,
                                tau, u.mass, u.frequency, u.hbar, center=cfg.state.center,
-                               results=plan.results, result_value=plan.result_value)
+                               results=plan.results, result_value=plan.result_value,
+                               scan_at=scan_at)
 
 
-def _engine_b(cfg, plan: StroboscopicPlan, final: bool) -> list:
+def _engine_b(cfg, plan: StroboscopicPlan, scan_at) -> list:
     u, num = cfg.units, cfg.numerics
     return run_stroboscopic(num.lattice, plan, cfg.state.width, num.gate_fraction * _period(cfg),
                             u.mass, u.frequency, u.hbar, center=cfg.state.center,
-                            gate_steps=num.gate_steps,
-                            scan_at={plan.measurements} if final else None)
+                            gate_steps=num.gate_steps, scan_at=scan_at)
 
 
-def _engine_c(cfg, plan: StroboscopicPlan, final: bool) -> list:
-    state = _initial_state(cfg)
-    return [asymptotic_uncertainty(plan, state)] if final else uncertainty_evolution(plan, state)
+def _engine_c(cfg, plan: StroboscopicPlan, scan_at) -> list:
+    return uncertainty_evolution(plan, _initial_state(cfg), scan_at)
 
 
 ENGINES = {"A": _engine_a, "B": _engine_b, "C": _engine_c}
 
 
-def _records(cfg: "ExperimentConfig", ratios, final: bool) -> list:
+def _records(cfg: "ExperimentConfig", ratios, scan_at) -> list:
     """ResultRecords of every configured engine at each interval/period
-    ratio; with `final`, only each chain's last measurement. The chains run
-    as the module docstring states."""
+    ratio, for the measurements in `scan_at` (None: all). The chains run as
+    the module docstring states."""
     jobs = [(engine, r, _plan(cfg, r * _period(cfg))) for engine in cfg.engines for r in ratios]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     k = min(len(ratios), cpus or 1)
     with ThreadPoolExecutor(k) as pool:
         chains = (pool.map if k > 1 else map)(
-            lambda job: ENGINES[job[0]](cfg, job[2], final), jobs)
+            lambda job: ENGINES[job[0]](cfg, job[2], scan_at), jobs)
         return [ResultRecord(engine, cfg.filter.kind, r, c.n, c.delta_a_eff, c.a_tilde,
                              c.norm_squared)
-                for (engine, r, _), chain in zip(jobs, chains)
-                for c in (chain[-1:] if final else chain)]
+                for (engine, r, _), chain in zip(jobs, chains) for c in chain]
 
 
 def run(cfg: "ExperimentConfig") -> list:
     """Per-measurement uncertainty records for every configured engine."""
-    return _records(cfg, [cfg.plan.interval_over_period], final=False)
+    return _records(cfg, [cfg.plan.interval_over_period], None)
 
 
 def sweep(cfg: "ExperimentConfig") -> list:
@@ -348,7 +344,7 @@ def sweep(cfg: "ExperimentConfig") -> list:
     grid point per engine (n is the plan's measurement count)."""
     grid = np.linspace(cfg.sweep.start_over_period, cfg.sweep.stop_over_period,
                        cfg.sweep.points)
-    return _records(cfg, [float(r) for r in grid], final=True)
+    return _records(cfg, [float(r) for r in grid], {cfg.plan.measurements})
 
 
 @dataclass(frozen=True)

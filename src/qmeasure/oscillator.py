@@ -246,16 +246,14 @@ def project_gaussian(
     basis: OscillatorBasis,
     width: float,
     center: float = 0.0,
-    quad: Quadrature | None = None,
 ) -> tuple[EigenState, float]:
-    """Expand a normalized Gaussian packet in the truncated basis.
+    """Expand a normalized Gaussian packet in the truncated basis, on a
+    quadrature rule sized to the packet.
 
     Parameters
     ----------
     width : float
         Packet width sigma (> 0), psi ~ exp(-(x-center)^2/(2 sigma^2)).
-    quad : Quadrature, optional
-        Integration rule; by default one sized to the packet.
 
     Returns
     -------
@@ -267,8 +265,7 @@ def project_gaussian(
     """
     if width <= 0:
         raise ValueError("packet width must be positive")
-    if quad is None:
-        quad = basis_quadrature(basis, reach=abs(center) + 8.0 * width)
+    quad = basis_quadrature(basis, reach=abs(center) + 8.0 * width)
     x, w = quad.nodes, quad.weights
     psi = (np.pi * width**2) ** -0.25 * np.exp(-((x - center) ** 2) / (2.0 * width**2))
     # convergence guard: the rule must at least integrate the packet itself

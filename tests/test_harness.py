@@ -17,7 +17,6 @@ from qmeasure import (
     Lattice,
     StroboscopicPlan,
     TruncationError,
-    asymptotic_uncertainty,
     config_from_mapping,
     config_hash,
     cross_validate,
@@ -29,6 +28,7 @@ from qmeasure import (
     run_stroboscopic,
     stroboscopic_widths,
     sweep,
+    uncertainty_evolution,
     validate_config,
 )
 from qmeasure import harness, oscillator, weights
@@ -313,12 +313,13 @@ def test_sweep_every_engine(tmp_path, packet):
                                                       res.norm_squared)
     # the packet fixture is the default config's initial state
     for r in records[6:]:
-        res = asymptotic_uncertainty(StroboscopicPlan(r.dt_over_T * 2.0 * np.pi, 4), packet)
+        res = uncertainty_evolution(StroboscopicPlan(r.dt_over_T * 2.0 * np.pi, 4), packet,
+                                    scan_at={4})[-1]
         assert (r.delta_a_eff, r.a_tilde, r.norm) == (res.delta_a_eff, res.a_tilde,
                                                       res.norm_squared)
 
 
-def _probe(cfg, plan, final):
+def _probe(cfg, plan, scan_at):
     """An engine adapter that leaves a marker named by its interval and
     fails: the shortest interval at once, any other after 0.3 s."""
     (Path(cfg.output.directory) / f"{plan.interval:.6f}").touch()

@@ -9,6 +9,7 @@ from qmeasure import (
     apply_chain,
     asymptotic_uncertainty,
     config_from_mapping,
+    distribution,
     nth_outcome_distribution,
     outcome_amplitudes,
     qnd_commutator,
@@ -17,6 +18,7 @@ from qmeasure import (
     sweep,
     uncertainty_evolution,
 )
+from qmeasure import stroboscopic
 
 T = 2.0 * np.pi
 SQRT26 = 5.0990195135927845
@@ -124,15 +126,37 @@ def _engine_c_sweep(start: float, stop: float, points: int, measurements: int) -
         "sweep": {"start_over_period": start, "stop_over_period": stop, "points": points}}))
 
 
-def test_sweep_takes_engine_c_rows_from_asymptotic_uncertainty(packet):
-    """Each engine C row of a sweep is asymptotic_uncertainty's record of
-    measurement N at that interval, to the last bit."""
+def test_sweep_takes_engine_c_rows_from_the_scan_of_measurement_n(packet):
+    """Each engine C row of a sweep is uncertainty_evolution's record of
+    measurement N scanned alone at that interval, to the last bit."""
     rows = _engine_c_sweep(0.25, 0.75, 3, 8)
     assert [(r.engine, r.n) for r in rows] == [("C", 8)] * 3
     for row in rows:
-        expected = asymptotic_uncertainty(StroboscopicPlan(row.dt_over_T * T, 8), packet)
+        expected = uncertainty_evolution(StroboscopicPlan(row.dt_over_T * T, 8), packet,
+                                         scan_at={8})[-1]
         assert (row.delta_a_eff, row.a_tilde, row.norm) == (
             expected.delta_a_eff, expected.a_tilde, expected.norm_squared)
+
+
+def test_sweep_scans_engine_c_once_per_chain(monkeypatch):
+    """A sweep scans only measurement N of each engine C chain, so its rows
+    are the final-measurement distribution at each interval, bit for bit."""
+    calls, seeded_scan = [], stroboscopic._seeded_scan
+
+    def counted(*args):
+        calls.append(args)
+        return seeded_scan(*args)
+
+    monkeypatch.setattr(stroboscopic, "_seeded_scan", counted)
+    rows = _engine_c_sweep(0.25, 0.75, 3, 8)
+    monkeypatch.undo()
+    # every row takes at least one scan, so three scans are one per chain
+    assert len(rows) == 3 and len(calls) == 3
+    for row in rows:
+        dist = distribution(config_from_mapping({
+            "engines": ["C"], "numerics": {"levels": 64},
+            "plan": {"measurements": 8, "interval_over_period": row.dt_over_T}}))
+        assert (row.delta_a_eff, row.a_tilde) == (dist.delta_a_eff, dist.a_tilde)
 
 
 def test_quarter_period_fixed_point(packet):
