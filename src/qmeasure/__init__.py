@@ -21,7 +21,6 @@ del _name
 from .collapse import (
     GridCoverageError,
     OutcomeDistribution,
-    outcome_amplitudes,
     outcome_distribution,
 )
 from .gaussian_analytic import (

@@ -10,18 +10,25 @@ squared norm of the collapsed state; its effective width
 with a_tilde the density's peak, measures how much the apparatus error da
 is diluted by the quantum spread of the state.
 
-An outcome scan evaluates w_a psi for every outcome a of a grid, for
-either filter, on one shared quadrature grid: panels carrying one
-Gauss-Legendre rule each tile the live windows, and the eigenfunctions are
-evaluated once on their nodes. Gaussian panels are as wide as a filter
-window; step panels run between consecutive window edges, so the step's
-jumps fall on panel ends and its indicator is exact on every node. The
-outcomes, in order of position, are then reduced in blocks of 32, each by
-one real matrix product over only the nodes its windows cover; a density
-scan reduces each block's product straight to its squared norms. Past its
-(2 n_max, nodes) grid array a scan allocates only a block's arrays, so
-repeated scans reuse memory the allocator already holds instead of
-faulting in fresh pages.
+Every outcome scan, engine C's here and engine B's on the lattice, is one
+routine, `_window_scan`: it lays out the outcomes on a window centered on
+the state's mean and 10x the expected uncertainty wide (or 10x the previous
+measurement's), takes the squared norms ||w_a psi||^2 its engine computes
+there, reruns once on a corrected window when the measured uncertainty is
+more than 15% off, and summarizes the norms with
+`OutcomeDistribution.from_norms`. `outcome_distribution` is that scan of one
+measurement on engine C's norms, as a chain's first scan.
+
+Engine C's norms come from `_scan_norms`, for either filter, on one shared
+quadrature grid: panels carrying one Gauss-Legendre rule each tile the live
+windows, and the eigenfunctions are evaluated once on their nodes. Gaussian
+panels are as wide as a filter window; step panels run between consecutive
+window edges, so the step's jumps fall on panel ends and its indicator is
+exact on every node. The outcomes, in order of position, are then reduced
+in blocks of 32, each by one real matrix product over only the nodes its
+windows cover, straight to their squared norms. Past its (2 n_max, nodes)
+grid array a scan allocates only a block's arrays, so repeated scans reuse
+memory the allocator already holds instead of faulting in fresh pages.
 """
 
 from __future__ import annotations
@@ -44,30 +51,14 @@ class GridCoverageError(RuntimeError):
     """Raised when an outcome grid leaves visible probability at its edges."""
 
 
-def outcome_amplitudes(state: EigenState, kind: str, error: float, outcomes: np.ndarray) -> np.ndarray:
-    """Collapsed-state coefficients for every outcome on a grid.
-
-    Returns the (n_outcomes, n_max) matrix whose row i holds the eigenbasis
-    coefficients of w_{a_i} * psi; outcomes may come in any order, and rows
-    whose window lies wholly outside the basis domain are exactly zero.
-    Each outcome integrates over its own support window clipped to the
-    domain, on the scan's shared panel grid.
-    """
-    n_max = state.basis.n_max
-    amps = np.zeros((np.size(outcomes), n_max), dtype=complex)
-    for rows, r in _scan_products(state, kind, error, outcomes):
-        amps.real[rows] = r[:, :n_max]
-        amps.imag[rows] = r[:, n_max:]
-    return amps
-
-
 # outcomes per block of a scan: at 16 and 128 the default `run` took about
 # 10% longer, and at 64 it faulted in fresh pages on every run
 _BLOCK = 32
 
 
-def _scan_products(state: EigenState, kind: str, error: float, outcomes: np.ndarray):
-    """Filter amplitudes on one shared grid of panels, by blocks.
+def _scan_norms(state: EigenState, kind: str, error: float, outcomes: np.ndarray) -> np.ndarray:
+    """Squared norms ||w_a psi||^2 for every outcome a, in any order, on one
+    shared grid of panels, by blocks.
 
     Gaussian panels of the window width tile the span of the live windows
     [lo, hi] (clipped to the basis domain), each carrying one Gauss-Legendre
@@ -79,11 +70,10 @@ def _scan_products(state: EigenState, kind: str, error: float, outcomes: np.ndar
     and imaginary parts of g = u w psi are stacked into one real
     (2 n_max, nodes) array. The live outcomes, sorted by position, are then
     reduced in blocks of `_BLOCK`: each block's filter profiles, cut to
-    their windows, multiply g over only the nodes those windows cover.
-
-    Yields (rows, r) per block: the outcome indices and the real
-    (rows, 2 n_max) product whose columns hold the real parts of the
-    coefficients of w_a psi, then the imaginary parts.
+    their windows, multiply g over only the nodes those windows cover, and
+    the product's rows, the real and then the imaginary parts of the
+    coefficients of w_a psi, give their squared norms. Outcomes whose window
+    lies wholly outside the basis domain read exactly 0.
     """
     basis = state.basis
     n_max = basis.n_max
@@ -93,8 +83,9 @@ def _scan_products(state: EigenState, kind: str, error: float, outcomes: np.ndar
     lo = np.clip(outcomes - half, -limit, limit)
     hi = np.clip(outcomes + half, -limit, limit)
     rows = np.flatnonzero(hi > lo)
+    norms = np.zeros(outcomes.size)
     if rows.size == 0:
-        return
+        return norms
     # lo and hi both grow with the outcome, so this sorts the windows' starts
     # and ends alike
     rows = rows[np.argsort(outcomes[rows], kind="stable")]
@@ -149,7 +140,9 @@ def _scan_products(state: EigenState, kind: str, error: float, outcomes: np.ndar
             np.exp(f, out=f)
         else:
             np.less_equal(f, reach, out=f)
-        yield rows[i:i + _BLOCK], f @ g[:, j0:j1].T
+        r = f @ g[:, j0:j1].T
+        norms[rows[i:i + _BLOCK]] = np.einsum("ij,ij->i", r, r)
+    return norms
 
 
 @dataclass(frozen=True)
@@ -206,42 +199,34 @@ def _refine_peak(outcomes: np.ndarray, density: np.ndarray) -> float:
     return float(outcomes[i] + np.clip(shift, -h, h))
 
 
-def outcome_distribution(
-    state: EigenState,
-    error: float,
-    kind: str = "gaussian",
-    points: int = 801,
-    halfwidth: float | None = None,
-    center: float | None = None,
-) -> OutcomeDistribution:
-    """Outcome density of a single impulsive measurement of `state`.
+# outcomes per engine C scan; each window is sized to the measured
+# uncertainty, so the count resolves the density alike in every regime
+_SCAN_POINTS = 801
 
-    The grid is centered on the state's mean position and spans ten times a
-    dispersion estimate sqrt(error^2 + spread^2) unless told otherwise. The
-    scan reduces each block of outcomes straight to its squared norms and
-    never forms the amplitude matrix.
-    """
+
+def outcome_distribution(state: EigenState, error: float, kind: str = "gaussian") -> OutcomeDistribution:
+    """Outcome density of a single impulsive measurement of `state`, normalized:
+    the scan engine C runs on a chain's first measurement, on the same window."""
+    mean, var = position_moments(state)
     work = state.normalized()
-    mean, var = position_moments(work)
-    if center is None:
-        center = mean
-    if halfwidth is None:
-        halfwidth = 10.0 * float(np.sqrt(error**2 + 2.0 * var))
-    outcomes = np.linspace(center - halfwidth, center + halfwidth, int(points))
-    norms2 = np.zeros(outcomes.size)
-    for rows, r in _scan_products(work, kind, error, outcomes):
-        norms2[rows] = np.einsum("ij,ij->i", r, r)
-    return OutcomeDistribution.from_norms(outcomes, norms2)
+    return _window_scan(lambda a: _scan_norms(work, kind, error, a), mean, var, error,
+                        _SCAN_POINTS, None)
 
 
-def _self_sizing_scan(scan, error: float, var: float, seed: float | None) -> OutcomeDistribution:
-    """Run `scan(halfwidth)` on a window sized to the expected uncertainty.
+def _window_scan(norms, center: float, var: float, error: float, points: int,
+                 seed: float | None) -> OutcomeDistribution:
+    """Engines B and C's outcome scan: `norms(outcomes)` gives ||w_a psi||^2
+    on `points` outcomes of a window centered on `center`, the state's mean.
 
-    The window spans 10x sqrt(error^2 + 2 var), raised to 10x `seed` (the
-    previous measurement's uncertainty) when one is given; if the measured
-    uncertainty disagrees with the window by more than 15% the scan runs
-    once more at the corrected span.
+    The window spans 10x sqrt(error^2 + 2 var), var the state's position
+    variance, raised to 10x `seed` (the previous measurement's uncertainty)
+    when one is given; if the measured uncertainty disagrees with the window
+    by more than 15% the scan runs once more at the corrected span.
     """
+    def scan(halfwidth: float) -> OutcomeDistribution:
+        outcomes = np.linspace(center - halfwidth, center + halfwidth, points)
+        return OutcomeDistribution.from_norms(outcomes, norms(outcomes))
+
     guess = float(np.sqrt(error**2 + 2.0 * max(var, 0.0)))
     if seed is not None:
         guess = max(guess, seed)

@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .collapse import OutcomeDistribution, _self_sizing_scan
+from .collapse import OutcomeDistribution, _window_scan
 from .stroboscopic import ChainRecord, StroboscopicPlan, _scan_chain
 from .weights import WeightSpec, evaluate_weight
 
@@ -232,17 +232,14 @@ def _check_gate_steps(gate_steps: int, gate_duration: float):
 def _scan(wavefn: GridWavefunction, op: TridiagonalOperator, error: float, gate_duration: float,
           gate_steps: int, points: int, hbar: float, seed: float | None) -> OutcomeDistribution:
     """Outcome distribution from the gated norm at each candidate outcome,
-    on a self-sizing window centered on the packet's mean."""
+    on `_window_scan`'s window centered on the packet's mean."""
     gate = _gate(wavefn, op, error, gate_duration, gate_steps, hbar)
-    mean, var = wavefn.moments()
 
-    def scan(hw: float) -> OutcomeDistribution:
-        outcomes = np.linspace(mean - hw, mean + hw, points)
-        norms = [GridWavefunction(wavefn.lattice, gate(float(a), close=False)).norm_squared()
-                 for a in outcomes]
-        return OutcomeDistribution.from_norms(outcomes, norms)
+    def norms(outcomes: np.ndarray) -> list[float]:
+        return [GridWavefunction(wavefn.lattice, gate(float(a), close=False)).norm_squared()
+                for a in outcomes]
 
-    return _self_sizing_scan(scan, error, var, seed)
+    return _window_scan(norms, *wavefn.moments(), error, points, seed)
 
 
 def run_stroboscopic(lattice: Lattice, plan: StroboscopicPlan, width: float,

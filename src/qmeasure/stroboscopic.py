@@ -10,7 +10,10 @@ P(a), its peak, and the effective uncertainty delta_a_eff.
 The measure/impose/evolve sequence itself is engine-neutral: `_chain_states`
 walks it and `_scan_chain` turns it into ChainRecords, and engines A
 (Gaussian packets), B (lattice wavefunctions) and C (eigenbasis vectors)
-supply only how their state advances, how it is scanned and its norm.
+supply only how their state advances, how it is scanned and its norm. The
+walk also guards every engine's chain: an imposition that keeps less than
+1e-8 of the chain norm raises ChainUnderflowError, since engine C's rows,
+and engine B's, would then be numerical noise.
 """
 
 from __future__ import annotations
@@ -19,13 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collapse import OutcomeDistribution, _self_sizing_scan, outcome_distribution
+from .collapse import _SCAN_POINTS, OutcomeDistribution, _scan_norms, _window_scan
 from .oscillator import EigenState, free_phase_factors, position_moments
 from .weights import FILTER_KINDS, WeightSpec, weight_matrix
 
 
 class ChainUnderflowError(RuntimeError):
-    """Imposed history so unlikely the chain norm underflowed."""
+    """An imposed result kept less than `_MIN_SHARE` of the chain norm."""
+
+
+# least share of the chain norm one imposition may keep: past it engine C's
+# computed share stops following engine A's exact one and bottoms out near
+# 3e-10, its noise floor, so the chain's later rows would be noise
+_MIN_SHARE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -80,19 +89,14 @@ def qnd_commutator(basis, dt: float) -> float:
     return float(basis.hbar / (basis.mass * basis.omega) * np.sin(basis.omega * dt))
 
 
-# outcomes per chain scan; each window is sized to the measured uncertainty,
-# so the count resolves the density alike in every regime
-_SCAN_POINTS = 801
-
-
 def _seeded_scan(state: EigenState, kind: str, error: float,
                  seed: float | None) -> OutcomeDistribution:
-    """Outcome scan of `state` on a self-sizing window centered on its mean."""
+    """Engine C's outcome scan of `state`, normalized, on a window seeded with
+    `seed`; with no seed it is `outcome_distribution`."""
     mean, var = position_moments(state)
-    return _self_sizing_scan(
-        lambda hw: outcome_distribution(state, error, kind=kind, points=_SCAN_POINTS,
-                                        halfwidth=hw, center=mean),
-        error, var, seed)
+    work = state.normalized()
+    return _window_scan(lambda a: _scan_norms(work, kind, error, a), mean, var, error,
+                        _SCAN_POINTS, seed)
 
 
 @dataclass(frozen=True)
@@ -105,18 +109,26 @@ class ChainRecord:
     norm_squared: float
 
 
-def _chain_states(plan: StroboscopicPlan, state, advance):
+def _chain_states(plan: StroboscopicPlan, state, advance, norm):
     """The plan's measure/impose/evolve sequence, for any engine's states.
 
-    Yields (n, state entering measurement n) for n = 1..N; between
-    measurements n and n + 1, advance(state, a, n) imposes result a on
-    measurement n and evolves the state freely over one interval.
+    Yields (n, state entering measurement n, its norm(state)) for n = 1..N;
+    between measurements n and n + 1, advance(state, a, n) imposes result a
+    on measurement n and evolves the state freely over one interval.
+    ChainUnderflowError when an imposition keeps less than `_MIN_SHARE` of
+    the chain norm.
     """
     imposed = plan.imposed_results()
+    norm_squared = norm(state)
     for n in range(1, plan.measurements + 1):
-        yield n, state
+        yield n, state, norm_squared
         if n < plan.measurements:
             state = advance(state, float(imposed[n - 1]), n)
+            before, norm_squared = norm_squared, norm(state)
+            share = norm_squared / before
+            if not share >= _MIN_SHARE:
+                raise ChainUnderflowError(f"imposing measurement {n} kept {share:.3e} of the "
+                                          f"chain norm, less than {_MIN_SHARE:.0e}")
 
 
 def _scan_chain(plan: StroboscopicPlan, state, advance, scan, norm,
@@ -128,10 +140,10 @@ def _scan_chain(plan: StroboscopicPlan, state, advance, scan, norm,
     (None at the first scan); norm(state) gives the record's norm_squared.
     """
     records, seed = [], None
-    for n, s in _chain_states(plan, state, advance):
+    for n, s, norm_squared in _chain_states(plan, state, advance, norm):
         if scan_at is None or n in scan_at:
             delta_a_eff, a_tilde = scan(s, seed)
-            records.append(ChainRecord(n, delta_a_eff, a_tilde, norm(s)))
+            records.append(ChainRecord(n, delta_a_eff, a_tilde, norm_squared))
             seed = delta_a_eff
     return records
 
@@ -146,10 +158,7 @@ def _eigen_advance(plan: StroboscopicPlan, basis):
     phases = free_phase_factors(basis, plan.interval)
 
     def advance(state: EigenState, a: float, n: int) -> EigenState:
-        state = EigenState(basis, phases * (_filter(plan, basis, a) @ state.coefficients))
-        if not _norm_squared(state) > 1e-200:
-            raise ChainUnderflowError(f"chain norm underflowed after imposing measurement {n}")
-        return state
+        return EigenState(basis, phases * (_filter(plan, basis, a) @ state.coefficients))
 
     return advance
 
@@ -161,7 +170,8 @@ def _norm_squared(state: EigenState) -> float:
 def _last_state(plan: StroboscopicPlan, state: EigenState) -> EigenState:
     """Normalized `state` with results 1..N-1 imposed: the unnormalized
     state entering the N-th measurement."""
-    for _, last in _chain_states(plan, state.normalized(), _eigen_advance(plan, state.basis)):
+    for _, last, _ in _chain_states(plan, state.normalized(), _eigen_advance(plan, state.basis),
+                                    _norm_squared):
         pass
     return last
 

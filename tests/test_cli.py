@@ -169,6 +169,18 @@ def test_grid_coverage_failure_names_a_config_key(tmp_path, capsys):
     assert "numerics.levels" in err
 
 
+def test_result_deep_in_the_tail_is_a_numerical_failure(tmp_path, capsys):
+    """Imposing 4 keeps about 1e-14 of the chain norm at measurement 2, where
+    the half period has mirrored the packet to about -3.8; engine C's
+    computed share bottoms out near its 3e-10 noise floor instead, and
+    without the guard its n = 3 row read 3x engine A's."""
+    cfg = _write_config(tmp_path, {"engines": ["A", "C"],
+                                   "plan": {"measurements": 4, "result_value": 4.0}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ChainUnderflowError: imposing measurement 2 ")
+
+
 @pytest.mark.parametrize("mapping, message", [
     # the packet reaches the walls of this lattice before any measurement
     ({"engines": ["B"],

@@ -7,26 +7,30 @@ from qmeasure import (
     OscillatorBasis,
     OutcomeDistribution,
     WeightSpec,
-    outcome_amplitudes,
     outcome_distribution,
     position_wavefunction,
     project_gaussian,
     weight_matrix,
 )
+from qmeasure.collapse import _scan_norms
 from qmeasure.oscillator import _legendre_rule, domain_halfwidth, eigenfunction_matrix
 from qmeasure.weights import quadrature_nodes
 
 SQRT26 = 5.0990195135927845
 
 
-def test_outcome_amplitudes_match_matrix_path(basis, packet):
+def _direct_norms(state, kind, error, outcomes):
+    """||W(a) c||^2 by per-outcome weight matrices."""
+    return np.array([np.linalg.norm(weight_matrix(state.basis, WeightSpec(kind, float(a), error)).matrix
+                                    @ state.coefficients) ** 2 for a in outcomes])
+
+
+def test_scan_norms_match_matrix_path(basis, packet):
     """The windowed scan must reproduce per-outcome matrix applications."""
     outcomes = np.array([-2.0, 0.0, 1.3])
     for kind in ("gaussian", "step"):
-        amps = outcome_amplitudes(packet, kind, 1.0, outcomes)
-        for i, a in enumerate(outcomes):
-            w = weight_matrix(basis, WeightSpec(kind, center=float(a))).matrix
-            assert np.allclose(amps[i], w @ packet.coefficients, atol=1e-9)
+        norms = _scan_norms(packet, kind, 1.0, outcomes)
+        assert np.allclose(norms, _direct_norms(packet, kind, 1.0, outcomes), atol=1e-9)
 
 
 def _random_state(basis, rng):
@@ -48,11 +52,9 @@ def test_banded_scan_matches_matrix_path(basis, rng, kind, error):
     ])
     for _ in range(2):
         state = _random_state(basis, rng)
-        amps = outcome_amplitudes(state, kind, error, outcomes)
-        direct = np.array([weight_matrix(basis, WeightSpec(kind, float(a), error)).matrix
-                           @ state.coefficients for a in outcomes])
-        scale = np.max(np.abs(direct))
-        assert np.max(np.abs(amps - direct)) <= 1e-12 * scale
+        norms = _scan_norms(state, kind, error, outcomes)
+        direct = _direct_norms(state, kind, error, outcomes)
+        assert np.max(np.abs(norms - direct)) <= 1e-12 * np.max(direct)
 
 
 @pytest.mark.parametrize("error", [0.1125, 3.0])
@@ -64,12 +66,11 @@ def test_step_scan_with_coinciding_edges(basis, rng, error):
     outcomes = np.linspace(-30.0, 30.0, 801)
     edges = np.unique(np.concatenate([outcomes - error, outcomes + error]))
     assert np.min(np.diff(edges)) < 1e-12
-    amps = outcome_amplitudes(state, "step", error, outcomes)
-    assert np.all(np.isfinite(amps))
+    norms = _scan_norms(state, "step", error, outcomes)
+    assert np.all(np.isfinite(norms))
     rows = np.arange(0, outcomes.size, 20)
-    direct = np.array([weight_matrix(basis, WeightSpec("step", float(outcomes[i]), error)).matrix
-                       @ state.coefficients for i in rows])
-    assert np.max(np.abs(amps[rows] - direct)) <= 1e-12 * np.max(np.abs(direct))
+    direct = _direct_norms(state, "step", error, outcomes[rows])
+    assert np.max(np.abs(norms[rows] - direct)) <= 1e-12 * np.max(direct)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "step"])
@@ -77,24 +78,25 @@ def test_shuffled_outcomes_permute_rows(basis, rng, kind):
     state = _random_state(basis, rng)
     outcomes = np.linspace(-30.0, 30.0, 121)
     perm = rng.permutation(outcomes.size)
-    amps = outcome_amplitudes(state, kind, 0.7, outcomes)
-    shuffled = outcome_amplitudes(state, kind, 0.7, outcomes[perm])
-    assert np.allclose(shuffled, amps[perm], rtol=0.0, atol=1e-14 * np.max(np.abs(amps)))
+    norms = _scan_norms(state, kind, 0.7, outcomes)
+    shuffled = _scan_norms(state, kind, 0.7, outcomes[perm])
+    assert np.allclose(shuffled, norms[perm], rtol=0.0, atol=1e-14 * np.max(norms))
 
 
 def test_rows_outside_domain_are_zero(basis, packet):
     limit = domain_halfwidth(basis)
     outside = np.array([-limit - 8.5, limit + 9.0, limit + 100.0])
-    amps = outcome_amplitudes(packet, "gaussian", 1.0, np.concatenate([outside, [0.0]]))
-    assert np.all(amps[:3] == 0.0)
-    assert np.any(amps[3] != 0.0)
+    norms = _scan_norms(packet, "gaussian", 1.0, np.concatenate([outside, [0.0]]))
+    assert np.all(norms[:3] == 0.0)
+    assert norms[3] > 0.0
     for kind in ("gaussian", "step"):
-        assert np.all(outcome_amplitudes(packet, kind, 1.0, outside) == 0.0)
+        assert np.all(_scan_norms(packet, kind, 1.0, outside) == 0.0)
 
 
-def _gaussian_amplitudes_reference(state, error, outcomes):
+def _gaussian_norms_reference(state, error, outcomes):
     """The Gaussian scan as a plain loop: each live outcome's filter
-    profile over every node of the shared panel grid, masked to its window."""
+    profile over every node of the shared panel grid, masked to its window,
+    gives the coefficients of W(a) c and their squared norm."""
     half = 8.0 * error
     limit = domain_halfwidth(state.basis)
     lo = np.clip(outcomes - half, -limit, limit)
@@ -109,17 +111,17 @@ def _gaussian_amplitudes_reference(state, error, outcomes):
     w = (0.5 * (right - left)[:, None] * base_w).ravel()
     u = eigenfunction_matrix(state.basis, x)
     psi = state.coefficients @ u
-    amps = np.zeros((outcomes.size, state.basis.n_max), dtype=complex)
+    norms = np.zeros(outcomes.size)
     for i in live:
         f = np.exp(-((x - outcomes[i]) ** 2) / (2.0 * error**2))
         f[(x < lo[i]) | (x > hi[i])] = 0.0
-        amps[i] = u @ (w * f * psi)
-    return amps
+        norms[i] = np.linalg.norm(u @ (w * f * psi)) ** 2
+    return norms
 
 
 # the blocked scan sums the same products in another order: float64
-# round-off, relative to each row's norm and to each density sample, so
-# that rows far out in the state's tails count as much as the peak's
+# round-off, relative to each squared norm, so that outcomes far out in the
+# state's tails count as much as the peak's
 SCAN_RTOL = 1e-13
 
 
@@ -137,21 +139,24 @@ def test_blocked_scan_matches_plain_loop(basis, rng, error):
         rng.uniform(-limit, limit, 40),
     ])
     outcomes = outcomes[rng.permutation(outcomes.size)]
-    amps = outcome_amplitudes(state, "gaussian", error, outcomes)
-    reference = _gaussian_amplitudes_reference(state, error, outcomes)
-    row_norms = np.linalg.norm(reference, axis=1)
-    assert np.all(np.linalg.norm(amps - reference, axis=1) <= SCAN_RTOL * row_norms)
+    norms = _scan_norms(state, "gaussian", error, outcomes)
+    reference = _gaussian_norms_reference(state, error, outcomes)
+    assert np.all(np.abs(norms - reference) <= SCAN_RTOL * reference)
     outside = (outcomes + 8.0 * error <= -limit) | (outcomes - 8.0 * error >= limit)
-    assert outside.any() and np.all(amps[outside] == 0.0)
+    assert outside.any() and np.all(norms[outside] == 0.0)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "step"])
 def test_distribution_density_matches_amplitudes(basis, rng, kind):
+    """The density is ||W(a) c||^2 over one normalizing constant, here taken
+    at the densest of every 40th outcome."""
     state = _random_state(basis, rng)
     dist = outcome_distribution(state, 0.7, kind=kind)
-    amps = outcome_amplitudes(state, kind, 0.7, dist.outcomes)
-    density = OutcomeDistribution.from_norms(dist.outcomes, np.sum(np.abs(amps) ** 2, axis=1)).density
-    assert np.all(np.abs(dist.density - density) <= SCAN_RTOL * density)
+    rows = np.arange(0, dist.outcomes.size, 40)
+    direct = _direct_norms(state, kind, 0.7, dist.outcomes[rows])
+    peak = np.argmax(direct)
+    scaled = dist.density[rows] * (direct[peak] / dist.density[rows][peak])
+    assert np.max(np.abs(scaled - direct)) <= 1e-12 * direct[peak]
 
 
 def test_single_measurement_uncertainty(packet):
@@ -224,13 +229,6 @@ def test_from_norms_rejects_uncovered_density():
     a = np.linspace(-1.0, 1.0, 101)
     with pytest.raises(GridCoverageError):
         OutcomeDistribution.from_norms(a, np.ones_like(a))
-
-
-def test_scan_respects_explicit_window(packet):
-    dist = outcome_distribution(packet, 1.0, points=601, halfwidth=40.0, center=0.0)
-    assert dist.outcomes[0] == pytest.approx(-40.0)
-    assert dist.outcomes[-1] == pytest.approx(40.0)
-    assert dist.delta_a_eff == pytest.approx(SQRT26, abs=2e-3)
 
 
 def test_excited_state_scan(basis):

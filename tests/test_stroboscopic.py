@@ -4,6 +4,7 @@ import pytest
 from qmeasure import (
     ChainRecord,
     ChainUnderflowError,
+    EigenState,
     Lattice,
     StroboscopicPlan,
     apply_chain,
@@ -11,7 +12,8 @@ from qmeasure import (
     config_from_mapping,
     distribution,
     nth_outcome_distribution,
-    outcome_amplitudes,
+    outcome_distribution,
+    position_moments,
     qnd_commutator,
     run_stroboscopic,
     stroboscopic_widths,
@@ -180,6 +182,21 @@ def test_chain_underflow(packet):
         uncertainty_evolution(plan, packet)
 
 
+@pytest.mark.parametrize("engine", ["A", "B", "C"])
+def test_every_engine_rejects_an_imposition_that_keeps_almost_no_norm(packet, engine):
+    """Result 10 at error 1 keeps under 1e-8 of a width-5 packet's norm at
+    measurement 2, where the half period has mirrored the packet to -10."""
+    plan = StroboscopicPlan(T / 2.0, 3, result_value=10.0)
+    chain = {
+        "A": lambda: stroboscopic_widths(5.0, plan.interval, 3, 1.0, 1e-5 * T, 0.5, 1.0,
+                                         result_value=10.0),
+        "B": lambda: run_stroboscopic(Lattice(points=1201), plan, 5.0, 1e-5 * T, 0.5, 1.0),
+        "C": lambda: uncertainty_evolution(plan, packet),
+    }[engine]
+    with pytest.raises(ChainUnderflowError, match="imposing measurement 2 kept"):
+        chain()
+
+
 def test_step_chain_runs(packet):
     plan = StroboscopicPlan(T / 2.0, 4, filter_kind="step")
     recs = uncertainty_evolution(plan, packet)
@@ -199,14 +216,28 @@ def test_mini_sweep_finds_half_period():
     assert values[2] < 0.95 * values[4]
 
 
-def test_outcome_amplitudes_reused_by_chain(basis, packet):
-    # scanning measurement 1 through the plan equals a direct scan
-    plan = StroboscopicPlan(T / 2.0, 1)
-    dist = nth_outcome_distribution(plan, packet)
-    amps = outcome_amplitudes(packet, "gaussian", 1.0, dist.outcomes)
-    norms = np.sum(np.abs(amps) ** 2, axis=1)
-    dens = norms / np.trapezoid(norms, dist.outcomes)
-    assert np.allclose(dens, dist.density, rtol=1e-9, atol=1e-12)
+def test_outcome_distribution_is_the_first_chain_scan(basis, packet):
+    """outcome_distribution is engine C's scan of a chain's first measurement,
+    bit for bit, with either filter, also when the scan's window is rerun:
+    the ground state under a step filter of error 5 reads about 4.29, over
+    15% below the first window's sqrt(error^2 + 2 var) = 5.20."""
+    ground = EigenState(basis, np.eye(basis.n_max, dtype=complex)[0])
+    for state, kind, error, rerun in ((packet, "gaussian", 1.0, False),
+                                      (packet, "step", 1.0, False),
+                                      (ground, "step", 5.0, True)):
+        # the chain scans its normalized state: these are of unit norm to the bit
+        assert np.array_equal(state.normalized().coefficients, state.coefficients)
+        plan = StroboscopicPlan(T / 2.0, 1, filter_kind=kind, error=error)
+        chain = nth_outcome_distribution(plan, state)
+        dist = outcome_distribution(state, error, kind)
+        assert np.array_equal(dist.outcomes, chain.outcomes)
+        assert np.array_equal(dist.density, chain.density)
+        assert (dist.a_tilde, dist.delta_a_eff, dist.boundary_mass) == (
+            chain.a_tilde, chain.delta_a_eff, chain.boundary_mass)
+        record = uncertainty_evolution(plan, state)[0]
+        assert (record.delta_a_eff, record.a_tilde) == (dist.delta_a_eff, dist.a_tilde)
+        first_window = 10.0 * np.sqrt(error**2 + 2.0 * position_moments(state)[1])
+        assert (dist.outcomes[-1] < 0.85 * first_window) == rerun
 
 
 def test_every_engine_walks_the_plan_into_chain_records(packet):
