@@ -69,6 +69,21 @@ class GaussianPacket:
         rb = np.real(self.linear)
         return float(np.exp(2.0 * self.log_scale + rb**2 / (2.0 * rg)) * np.sqrt(np.pi / (2.0 * rg)))
 
+    def phase_space(self, mass: float, omega: float, hbar: float = 1.0) -> tuple[float, float]:
+        """Amplitude R and spread S of the packet in the plane (x, p/(m omega)).
+
+        R = sqrt(<x>^2 + (<p>/m omega)^2) and S = sqrt(Var x + Var p/(m omega)^2),
+        with Var x = 1/(4 Re g) and Var p = hbar^2 |g|^2 / Re g for curvature g.
+        Free oscillator evolution rotates that plane, so it keeps both, and at
+        every time of a free interval |<x>| <= R and Var x <= S^2.
+        """
+        g, b = complex(self.curvature), complex(self.linear)
+        mean_x = b.real / (2.0 * g.real)
+        mean_p = hbar * (b.imag - 2.0 * g.imag * mean_x)
+        scale = mass * omega
+        return (float(np.hypot(mean_x, mean_p / scale)),
+                float(np.sqrt(0.25 / g.real + (hbar / scale) ** 2 * abs(g) ** 2 / g.real)))
+
 
 def critical_time(width: float, error: float, mass: float, hbar: float = 1.0) -> float:
     """Gate duration below which a measurement acts impulsively."""
@@ -183,11 +198,19 @@ def stroboscopic_widths(
     if gate_duration <= 0:
         raise ValueError("gate_duration must be positive")
     plan = StroboscopicPlan(interval, measurements, "gaussian", error, results, result_value)
-
-    def advance(packet: GaussianPacket, a: float, n: int) -> GaussianPacket:
-        packet = evolve_measured(packet, gate_duration, error, mass, omega, hbar, center=a)
-        return evolve_free(packet, interval, mass, omega, hbar)
-
-    return _scan_chain(plan, GaussianPacket.from_width(width, center=center), advance,
+    return _scan_chain(plan, GaussianPacket.from_width(width, center=center),
+                       _chain_advance(plan, gate_duration, mass, omega, hbar),
                        lambda p, seed: (impulsive_uncertainty(p.width, error), p.center),
                        lambda p: p.norm_squared, scan_at)
+
+
+def _chain_advance(plan: StroboscopicPlan, gate_duration: float, mass: float, omega: float,
+                   hbar: float):
+    """Engine A between measurements: the gate at the imposed result, then
+    one free interval."""
+    def advance(packet: GaussianPacket, a: float, n: int) -> GaussianPacket:
+        packet = evolve_measured(packet, gate_duration, plan.error, mass, omega, hbar, center=a)
+        return evolve_free(packet, plan.interval, mass, omega, hbar)
+
+    return advance
+

@@ -6,8 +6,14 @@ maps each engine letter to an adapter that computes one chain,
 (cfg, plan, scan_at) -> the ChainRecords of exactly the measurements in
 `scan_at` (None: all of them), in order: A (closed-form Gaussian packets), B
 (lattice Pade free steps with Strang-split gates), C (eigenbasis
-filter-matrix chains). `run` and `cross_validate` scan every measurement,
-`sweep` only the last; all go through that table alone, and `_records`
+filter-matrix chains). With no `numerics.lattice` section, engine B derives
+each chain's lattice from its state (`pde.derived_lattice`): spacing 0.05,
+and walls at the largest R + K S over the chain rounded up to a whole unit,
+R and S the amplitude and spread of engine A's packet in the phase plane
+(x, p/(m omega)), which free evolution keeps. K = 8 leaves 1.2e-15 of a
+Gaussian beyond the walls at any time of an interval, against the leak
+guard's 1e-8. `run` and `cross_validate` scan every measurement, `sweep`
+only the last; all go through that table alone, and `_records`
 turns chain records into ResultRecords in one place.
 The chains of a plan list are independent, so `_records` maps every
 engine's over k = min(plans, CPUs) threads of the calling process with
@@ -33,6 +39,7 @@ import itertools
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -91,7 +98,9 @@ class NumericsConfig:
     levels: int = 64
     gate_fraction: float = 1e-5
     gate_steps: int = 1
-    lattice: Lattice = field(default_factory=Lattice)
+    # None: engine B derives one lattice per plan (pde.derived_lattice); an
+    # explicit section is a pde.Lattice, with its defaults -60, 60 and 2401
+    lattice: Lattice | None = None
 
 
 @dataclass(frozen=True)
@@ -157,9 +166,11 @@ def _build(cls, data, path: str = ""):
         if key not in allowed:
             raise ConfigError(f"unknown configuration key '{where}'")
         f = allowed[key]
-        default = f.default if f.default is not dataclasses.MISSING else f.default_factory()
-        if dataclasses.is_dataclass(default):
-            kwargs[key] = _build(type(default), raw, where + ".")
+        # a section's type is its field's type, or the class in an optional one
+        section_type = next((t for t in (f.type, *typing.get_args(f.type))
+                             if dataclasses.is_dataclass(t)), None)
+        if section_type is not None:
+            kwargs[key] = _build(section_type, raw, where + ".")
         elif key == "results":
             if isinstance(raw, str):
                 kwargs[key] = raw
@@ -171,7 +182,7 @@ def _build(cls, data, path: str = ""):
         elif key in ("engines", "formats"):
             kwargs[key] = _string_tuple(raw, where)
         else:
-            kwargs[key] = _coerce_scalar(raw, default, where)
+            kwargs[key] = _coerce_scalar(raw, f.default, where)
     return _section(section, cls, **kwargs)
 
 

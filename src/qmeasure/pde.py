@@ -33,6 +33,20 @@ the power 1/gate_steps (the absorptive term's exact propagator), and a free
 half step. Its error is second order in tau/gate_steps, and as tau -> 0 it
 becomes the von Neumann collapse psi -> w_a psi. Step filters have no such
 gate term and are rejected.
+
+With no lattice given, each chain runs on one derived from its state:
+spacing SPACING (0.05), and walls at +-L, L the largest R + REACH S along
+the chain rounded up to a whole unit, so 40 L + 1 points. R and S are the
+amplitude and spread of engine A's closed-form packet in the phase plane
+(x, p/(m omega)) after each gate (`GaussianPacket.phase_space`); the gates
+are Gaussian filters, so A follows the same packet. Free oscillator
+evolution keeps R and S, so |<x>| <= R and sqrt(Var x) <= S at every time
+inside an interval, not only at its ends, where `_leak_check` looks. REACH
+is 8: the probability beyond 8 standard deviations of a Gaussian is
+1.2e-15, seven orders below the leak bound of 1e-8. On the default
+16-measurement chain at T/2, B/A at n = 16 reads +1.173e-5 on +-60, on
++-44 (the derived lattice) and on +-33 (REACH about 6), +1.184e-5 on +-30,
+and +8.14e-5 on +-25, which passes the leak check at every interval end.
 """
 
 from __future__ import annotations
@@ -44,7 +58,8 @@ import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .collapse import OutcomeDistribution, _window_scan
-from .stroboscopic import ChainRecord, StroboscopicPlan, _scan_chain
+from .gaussian_analytic import GaussianPacket, _chain_advance
+from .stroboscopic import ChainRecord, StroboscopicPlan, _chain_states, _scan_chain
 from .weights import WeightSpec, evaluate_weight
 
 
@@ -62,6 +77,10 @@ TIME_STEP = 0.02
 GATE_STEP = 0.000625
 # outcomes per chain scan, on a window sized to the measured uncertainty
 SCAN_POINTS = 129
+# the derived lattice's spacing, and its walls' distance from the packet's
+# phase-space amplitude in phase-space spreads
+SPACING = 0.05
+REACH = 8.0
 # a Pade (4,4) step of dt is a Crank-Nicolson step of dt times each f_j = 2/r_j,
 # r_j the roots of q(w) = 1 - w/2 + 3w^2/28 - w^3/84 + w^4/1680, by imaginary part
 PADE = (0.18313248053143527 - 0.23132522602625522j, 0.31686751946856473 - 0.09488202514221687j,
@@ -242,7 +261,22 @@ def _scan(wavefn: GridWavefunction, op: TridiagonalOperator, error: float, gate_
     return _window_scan(norms, *wavefn.moments(), error, points, seed)
 
 
-def run_stroboscopic(lattice: Lattice, plan: StroboscopicPlan, width: float,
+def derived_lattice(plan: StroboscopicPlan, width: float, gate_duration: float, mass: float,
+                    omega: float, hbar: float = 1.0, center: float = 0.0) -> Lattice:
+    """The lattice of SPACING whose walls lie REACH phase-space spreads
+    beyond the packet's phase-space amplitude all along the plan's chain,
+    as the module docstring states. Engine A's walk guards the chain norm
+    as engine B's would, with ChainUnderflowError."""
+    packets = _chain_states(plan, GaussianPacket.from_width(width, center=center),
+                            _chain_advance(plan, gate_duration, mass, omega, hbar),
+                            lambda packet: packet.norm_squared)
+    reach = max(r + REACH * s for r, s in (packet.phase_space(mass, omega, hbar)
+                                           for _, packet, _ in packets))
+    half = int(np.ceil(reach))
+    return Lattice(-float(half), float(half), round(2 * half / SPACING) + 1)
+
+
+def run_stroboscopic(lattice: Lattice | None, plan: StroboscopicPlan, width: float,
                      gate_duration: float, mass: float, omega: float, hbar: float = 1.0,
                      center: float = 0.0, gate_steps: int = 1,
                      scan_at: set[int] | None = None) -> list[ChainRecord]:
@@ -254,13 +288,16 @@ def run_stroboscopic(lattice: Lattice, plan: StroboscopicPlan, width: float,
     the chain, followed by free evolution across the quiescent interval in
     Pade steps no longer than TIME_STEP.
     `scan_at` restricts which measurements are scanned (all by default).
-    Probability reaching the walls raises BoundaryLeakError.
+    A `lattice` of None is `derived_lattice`'s for the plan. Probability
+    reaching the walls raises BoundaryLeakError.
     """
     if plan.filter_kind != "gaussian":
         raise StepFilterUnsupportedError("step filters have no local gate Hamiltonian on the grid")
     if gate_duration <= 0:
         raise ValueError("gate_duration must be positive")
     _check_gate_steps(gate_steps, gate_duration)
+    if lattice is None:
+        lattice = derived_lattice(plan, width, gate_duration, mass, omega, hbar, center)
     wavefn = sample_gaussian(lattice, width, center)
     _leak_check(wavefn, "before measurement 1")
     free_op = effective_hamiltonian(lattice, mass, omega, hbar)

@@ -128,7 +128,9 @@ def _chain_states(plan: StroboscopicPlan, state, advance, norm):
             share = norm_squared / before
             if not share >= _MIN_SHARE:
                 raise ChainUnderflowError(f"imposing measurement {n} kept {share:.3e} of the "
-                                          f"chain norm, less than {_MIN_SHARE:.0e}")
+                                          f"chain norm, less than {_MIN_SHARE:.0e}; impose "
+                                          "results nearer the packet through plan.results "
+                                          "or plan.result_value")
 
 
 def _scan_chain(plan: StroboscopicPlan, state, advance, scan, norm,

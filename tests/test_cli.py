@@ -179,6 +179,7 @@ def test_result_deep_in_the_tail_is_a_numerical_failure(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ChainUnderflowError: imposing measurement 2 ")
+    assert "plan.results" in err and "plan.result_value" in err
 
 
 @pytest.mark.parametrize("mapping, message", [

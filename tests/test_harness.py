@@ -153,6 +153,16 @@ def test_config_checks(mapping, message):
         config_from_mapping(mapping)
 
 
+def test_lattice_is_derived_unless_given():
+    """No numerics.lattice section leaves the lattice to engine B, per plan;
+    an explicit section, even an empty one, is pde.Lattice with its
+    defaults."""
+    assert config_from_mapping({}).numerics.lattice is None
+    assert config_from_mapping({"numerics": {"lattice": {}}}).numerics.lattice == Lattice()
+    cfg = config_from_mapping({"numerics": {"lattice": {"points": 1201}}})
+    assert cfg.numerics.lattice == Lattice(-60.0, 60.0, 1201)
+
+
 def test_gate_substeps_checked_only_for_engine_b():
     """Engines A and C have no lattice time step to stay within."""
     cfg = config_from_mapping({"numerics": {"gate_fraction": 0.01}})

@@ -141,6 +141,16 @@ def test_projection_rejects_unresolvable_packet(basis):
         project_gaussian(basis, 5e-4)
 
 
+@pytest.mark.parametrize("levels", [512, 1000])
+def test_projection_rule_grows_with_the_basis(levels):
+    """A width-0.3 packet on 512 and 1,000 levels needs more than 800 nodes
+    (the fixed rule integrated its norm to 0.9999999958 and 0.999973); the
+    rule sized from the basis and domain projects both."""
+    state, captured = project_gaussian(OscillatorBasis(0.5, 1.0, levels), 0.3)
+    assert captured > 0.999
+    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_eigenstate_normalization(basis, rng):
     coeffs = rng.normal(size=basis.n_max) + 1j * rng.normal(size=basis.n_max)
     state = EigenState(basis, coeffs)

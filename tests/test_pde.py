@@ -20,7 +20,8 @@ from qmeasure import (
     stroboscopic_widths,
 )
 from qmeasure import pde
-from qmeasure.pde import PADE, TIME_STEP, TridiagonalOperator, _gate, _scan
+from qmeasure.pde import (PADE, TIME_STEP, TridiagonalOperator, _gate, _scan, _steps_within,
+                          derived_lattice)
 
 MASS = 0.5
 OMEGA = 1.0
@@ -392,3 +393,64 @@ def test_boundary_leak_detected():
     plan = StroboscopicPlan(T / 2.0, 2)
     with pytest.raises(BoundaryLeakError):
         run_stroboscopic(small, plan, 5.0, 1e-5 * T, MASS, OMEGA)
+
+
+def test_headline_point_on_the_derived_lattice():
+    """With no lattice given, the default 16-measurement chain at T/2 runs on
+    +-44 x 1761 (dx 0.05): its packet's phase-space spread grows from 3.547
+    to 5.488. B reads A there to +1.17e-5, as on +-60 x 2401."""
+    plan = StroboscopicPlan(T / 2.0, 16)
+    assert derived_lattice(plan, 5.0, 1e-5 * T, MASS, OMEGA) == Lattice(-44.0, 44.0, 1761)
+    rec = run_stroboscopic(None, plan, 5.0, 1e-5 * T, MASS, OMEGA, scan_at={16})[-1]
+    exact = stroboscopic_widths(5.0, T / 2.0, 16, 1.0, 1e-5 * T, MASS, OMEGA)[-1]
+    assert rec.delta_a_eff == pytest.approx(exact.delta_a_eff, rel=2e-5)
+
+
+@pytest.mark.parametrize("dt_over_T", [0.25, 0.5])
+def test_derived_lattice_keeps_the_sweep_b_rows(dt_over_T):
+    """On the benchmark's sweep-B settings (4 measurements, center and
+    result in [-0.5, 0.5]) the derived +-29 x 1161 lattice gives the rows of
+    +-60 x 2401 to 1e-9."""
+    plan = StroboscopicPlan(dt_over_T * T, 4, result_value=-0.27)
+    assert derived_lattice(plan, 5.0, 1e-5 * T, MASS, OMEGA, center=0.31).points == 1161
+    derived, fixed = (run_stroboscopic(lat, plan, 5.0, 1e-5 * T, MASS, OMEGA, center=0.31,
+                                       scan_at={4})[-1] for lat in (None, Lattice()))
+    for field in ("delta_a_eff", "a_tilde", "norm_squared"):
+        assert getattr(derived, field) == pytest.approx(getattr(fixed, field), rel=1e-9)
+
+
+def _campaign(count=6, seed=20261021):
+    """Seeded configs from the ranges of the randomized agreement campaign:
+    width, center, error and interval, with 4 measurements."""
+    rng = np.random.default_rng(seed)
+    return [(float(rng.choice([2.0, 5.0, 8.0])), float(rng.uniform(-3.0, 3.0)),
+             float(rng.choice([0.5, 1.0, 2.0])), float(rng.choice([0.5, 0.37])))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("width, center, error, dt_over_T", _campaign())
+def test_derived_lattice_holds_the_packet(width, center, error, dt_over_T):
+    """The derived lattice passes the leak guard after every interval."""
+    plan = StroboscopicPlan(dt_over_T * T, 4, error=error)
+    records = run_stroboscopic(None, plan, width, 1e-5 * T, MASS, OMEGA, center=center,
+                               scan_at={4})
+    assert [r.n for r in records] == [4]
+
+
+@pytest.mark.parametrize("width, center, error, dt_over_T", _campaign())
+def test_derived_lattice_holds_the_packet_mid_interval(width, center, error, dt_over_T):
+    """Halfway through the last interval, where the leak guard does not
+    look, the packet also keeps its boundary mass under 1e-8: the walls bound
+    the packet at every time of an interval, not only at its ends."""
+    plan = StroboscopicPlan(dt_over_T * T, 4, error=error)
+    tau = 1e-5 * T
+    lat = derived_lattice(plan, width, tau, MASS, OMEGA, center=center)
+    op = effective_hamiltonian(lat, MASS, OMEGA)
+    wavefn = sample_gaussian(lat, width, center)
+    for n, a in enumerate(plan.imposed_results(), 1):
+        duration = plan.interval / (2.0 if n == plan.measurements - 1 else 1.0)
+        steps = _steps_within(duration, TIME_STEP)
+        values = _gate(wavefn, op, error, tau, 1, 1.0)(float(a))
+        wavefn = GridWavefunction(lat, crank_nicolson_evolve(op, values, duration / steps,
+                                                             steps, substeps=PADE))
+    assert wavefn.boundary_mass() < 1e-8 * wavefn.norm_squared()
