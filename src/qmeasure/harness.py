@@ -12,7 +12,8 @@ and walls at the largest R + K S over the chain rounded up to a whole unit,
 R and S the amplitude and spread of engine A's packet in the phase plane
 (x, p/(m omega)), which free evolution keeps. K = 8 leaves 1.2e-15 of a
 Gaussian beyond the walls at any time of an interval, against the leak
-guard's 1e-8. `run` and `cross_validate` scan every measurement, `sweep`
+guard's 1e-8. The same reach sets every chain's free Pade step
+(`pde.free_step`), with or without that section. `run` and `cross_validate` scan every measurement, `sweep`
 only the last; all go through that table alone, and `_records`
 turns chain records into ResultRecords in one place.
 The chains of a plan list are independent, so `_records` maps every

@@ -47,6 +47,21 @@ is 8: the probability beyond 8 standard deviations of a Gaussian is
 16-measurement chain at T/2, B/A at n = 16 reads +1.173e-5 on +-60, on
 +-44 (the derived lattice) and on +-33 (REACH about 6), +1.184e-5 on +-30,
 and +8.14e-5 on +-25, which passes the leak check at every interval end.
+
+The free step is derived from the same reach rho = max(R + REACH S). A Pade
+(4,4) step of dt turns a mode of energy E by a phase error of order
+(E dt/hbar)^9, ninth order in W, so over a fixed time its error goes as
+E^9 dt^8. Holding that rate fixed at the reach energy E = m omega^2 rho^2/2,
+the highest the packet reaches, gives dt ~ E^(-9/8) ~ rho^(-9/4):
+dt = STEP_SCALE/omega (hbar omega/E)^(9/8), and each interval takes the
+fewest equal steps no longer than that. STEP_SCALE = 20.8 is the anchor:
+the default 16-measurement chain at T/2 (rho = 43.900) steps at 0.019945,
+158 steps per T/2 interval as with the fixed step of 0.02 it replaces, and
+keeps its rows. The sweep-B chains (rho 28.4 to 28.9) step at about
+0.052, 60 to 62 steps per T/2 interval, and B's rows there move by under
+4e-11; wider chains step finer than 0.02 (0.0143 at rho = 50.9, where 0.02
+left B 2.2e-4 off its converged value). An explicit lattice takes the same
+step, since its walls say nothing about the packet's energy.
 """
 
 from __future__ import annotations
@@ -71,9 +86,10 @@ class BoundaryLeakError(RuntimeError):
     """Probability reached the lattice walls; results would be corrupted."""
 
 
-# engine B's free step, one Pade step, and its longest gate substep, one
-# Crank-Nicolson step; both at any omega
-TIME_STEP = 0.02
+# engine B's free Pade step is STEP_SCALE/omega (hbar omega/E)^(9/8) at the
+# chain's reach energy E; its longest gate substep, one Crank-Nicolson step,
+# is GATE_STEP at any omega
+STEP_SCALE = 20.8
 GATE_STEP = 0.000625
 # outcomes per chain scan, on a window sized to the measured uncertainty
 SCAN_POINTS = 129
@@ -214,7 +230,8 @@ def _leak_check(wavefn: GridWavefunction, stage: str):
     leak = wavefn.boundary_mass()
     if leak > 1e-8:
         raise BoundaryLeakError(f"boundary probability {leak:.3e} exceeds 1e-08 {stage}; "
-                                "enlarge the lattice")
+                                "widen numerics.lattice, or drop that section so that "
+                                "engine B derives its walls")
 
 
 def _gate(wavefn: GridWavefunction, op: TridiagonalOperator, error: float, duration: float,
@@ -261,19 +278,29 @@ def _scan(wavefn: GridWavefunction, op: TridiagonalOperator, error: float, gate_
     return _window_scan(norms, *wavefn.moments(), error, points, seed)
 
 
-def derived_lattice(plan: StroboscopicPlan, width: float, gate_duration: float, mass: float,
-                    omega: float, hbar: float = 1.0, center: float = 0.0) -> Lattice:
-    """The lattice of SPACING whose walls lie REACH phase-space spreads
-    beyond the packet's phase-space amplitude all along the plan's chain,
-    as the module docstring states. Engine A's walk guards the chain norm
-    as engine B's would, with ChainUnderflowError."""
+def chain_reach(plan: StroboscopicPlan, width: float, gate_duration: float, mass: float,
+                omega: float, hbar: float = 1.0, center: float = 0.0) -> float:
+    """The largest R + REACH S of engine A's packet in the phase plane all
+    along the plan's chain, as the module docstring states. Engine A's walk
+    guards the chain norm as engine B's would, with ChainUnderflowError."""
     packets = _chain_states(plan, GaussianPacket.from_width(width, center=center),
                             _chain_advance(plan, gate_duration, mass, omega, hbar),
                             lambda packet: packet.norm_squared)
-    reach = max(r + REACH * s for r, s in (packet.phase_space(mass, omega, hbar)
-                                           for _, packet, _ in packets))
+    return max(r + REACH * s for r, s in (packet.phase_space(mass, omega, hbar)
+                                          for _, packet, _ in packets))
+
+
+def derived_lattice(reach: float) -> Lattice:
+    """The lattice of SPACING whose walls lie at +-reach rounded up to a whole unit."""
     half = int(np.ceil(reach))
     return Lattice(-float(half), float(half), round(2 * half / SPACING) + 1)
+
+
+def free_step(reach: float, mass: float, omega: float, hbar: float = 1.0) -> float:
+    """Engine B's longest free Pade step on a chain of this reach, as the
+    module docstring states."""
+    energy = 0.5 * mass * omega**2 * reach**2
+    return STEP_SCALE / omega * (hbar * omega / energy) ** (9 / 8)
 
 
 def run_stroboscopic(lattice: Lattice | None, plan: StroboscopicPlan, width: float,
@@ -286,9 +313,9 @@ def run_stroboscopic(lattice: Lattice | None, plan: StroboscopicPlan, width: flo
     SCAN_POINTS candidate outcomes; the imposed result's gate, of
     `gate_steps` Strang substeps none longer than GATE_STEP, then advances
     the chain, followed by free evolution across the quiescent interval in
-    Pade steps no longer than TIME_STEP.
+    Pade steps no longer than `free_step` at the chain's reach.
     `scan_at` restricts which measurements are scanned (all by default).
-    A `lattice` of None is `derived_lattice`'s for the plan. Probability
+    A `lattice` of None is `derived_lattice`'s at that reach. Probability
     reaching the walls raises BoundaryLeakError.
     """
     if plan.filter_kind != "gaussian":
@@ -296,12 +323,13 @@ def run_stroboscopic(lattice: Lattice | None, plan: StroboscopicPlan, width: flo
     if gate_duration <= 0:
         raise ValueError("gate_duration must be positive")
     _check_gate_steps(gate_steps, gate_duration)
+    reach = chain_reach(plan, width, gate_duration, mass, omega, hbar, center)
     if lattice is None:
-        lattice = derived_lattice(plan, width, gate_duration, mass, omega, hbar, center)
+        lattice = derived_lattice(reach)
     wavefn = sample_gaussian(lattice, width, center)
     _leak_check(wavefn, "before measurement 1")
     free_op = effective_hamiltonian(lattice, mass, omega, hbar)
-    free_steps = _steps_within(plan.interval, TIME_STEP)
+    free_steps = _steps_within(plan.interval, free_step(reach, mass, omega, hbar))
     free_dt = plan.interval / free_steps
 
     def advance(wavefn: GridWavefunction, a: float, n: int) -> GridWavefunction:

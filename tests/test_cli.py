@@ -188,7 +188,8 @@ def test_result_deep_in_the_tail_is_a_numerical_failure(tmp_path, capsys):
       "numerics": {"gate_steps": 50,
                    "lattice": {"x_min": -12.0, "x_max": 12.0, "points": 481}}},
      "BoundaryLeakError: boundary probability 1.121e-04 exceeds 1e-08 before "
-     "measurement 1; enlarge the lattice"),
+     "measurement 1; widen numerics.lattice, or drop that section so that engine B "
+     "derives its walls"),
     # 20 levels cannot hold the initial packet
     ({"engines": ["C"], "numerics": {"levels": 20}},
      "TruncationError: levels=20 captures only 0.987648 of the initial packet; "

@@ -55,8 +55,8 @@ def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="numerics.lattice.spacing"):
         config_from_mapping({"numerics": {"lattice": {"spacing": 0.1}}})
     # removed keys: the outcome grids are sized by the routines that scan
-    # them, the projection rule by the packet, and engine B's time step is
-    # pde.TIME_STEP
+    # them, the projection rule by the packet, and engine B's time step by
+    # each chain's phase-space reach (pde.free_step)
     for key, numerics in [("outcome_points", {"outcome_points": 801}),
                           ("pde_outcome_points", {"pde_outcome_points": 129}),
                           ("quadrature_points", {"quadrature_points": 800}),

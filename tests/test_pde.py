@@ -13,6 +13,7 @@ from qmeasure import (
     StroboscopicPlan,
     crank_nicolson_evolve,
     effective_hamiltonian,
+    evolve_free,
     evolve_measured,
     measurement_coupling,
     run_stroboscopic,
@@ -20,8 +21,8 @@ from qmeasure import (
     stroboscopic_widths,
 )
 from qmeasure import pde
-from qmeasure.pde import (PADE, TIME_STEP, TridiagonalOperator, _gate, _scan, _steps_within,
-                          derived_lattice)
+from qmeasure.pde import (PADE, TridiagonalOperator, _gate, _scan, _steps_within, chain_reach,
+                          derived_lattice, free_step)
 
 MASS = 0.5
 OMEGA = 1.0
@@ -217,14 +218,37 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _reach(plan, width, center=0.0):
+    """The largest R + 8 S of engine A's packet entering each measurement,
+    R and S its amplitude and spread in the phase plane (x, p/(m omega))."""
+    packets = [GaussianPacket.from_width(width, center=center)]
+    for a in plan.imposed_results():
+        gated = evolve_measured(packets[-1], 1e-5 * T, plan.error, MASS, OMEGA, center=float(a))
+        packets.append(evolve_free(gated, plan.interval, MASS, OMEGA))
+    return max(r + 8.0 * s for r, s in (packet.phase_space(MASS, OMEGA) for packet in packets))
+
+
+def _rule_step(reach):
+    """Engine B's free step at reach rho: 20.8/omega (hbar omega/E)^(9/8) at
+    E = m omega^2 rho^2/2."""
+    return 20.8 / OMEGA * (0.5 * MASS * OMEGA * reach**2) ** (-9.0 / 8.0)
+
+
 def test_half_period_interval_solve_count(monkeypatch):
-    """One T/2 interval of a chain makes 2 solves for the gate's half steps
-    and 4 ceil(pi/0.02) = 632 for its free interval, in Pade (4,4) steps of
-    TIME_STEP (the (2,2) steps of 0.005 made 1,258)."""
+    """Each T/2 interval of a chain makes 2 solves for the gate's half steps
+    and 4 for each of its ceil((T/2)/dt) Pade (4,4) free steps, dt the step
+    rule's at the chain's reach: the default 16-measurement chain (reach
+    43.90) keeps the 2 + 632 solves of the fixed step of 0.02 that the rule
+    replaced (the (2,2) steps of 0.005 made 1,258), and a sweep-B chain
+    (reach 28.68) makes 2 + 4 x 61."""
     solves = _counting(monkeypatch, "zgttrs")
-    run_stroboscopic(COARSE, StroboscopicPlan(T / 2.0, 2), 5.0, 1e-5 * T, MASS, OMEGA,
-                     scan_at=set())
-    assert len(solves) == 2 + 632
+    for measurements, center, result, steps in [(16, 0.0, 0.0, 158), (4, 0.31, -0.27, 61)]:
+        plan = StroboscopicPlan(T / 2.0, measurements, result_value=result)
+        per_interval = 2 + 4 * int(np.ceil(T / 2.0 / _rule_step(_reach(plan, 5.0, center))))
+        assert per_interval == 2 + 4 * steps
+        solves.clear()
+        run_stroboscopic(None, plan, 5.0, 1e-5 * T, MASS, OMEGA, center=center, scan_at=set())
+        assert len(solves) == (measurements - 1) * per_interval
 
 
 def test_scan_factors_its_gate_once(monkeypatch):
@@ -239,12 +263,13 @@ def test_scan_factors_its_gate_once(monkeypatch):
 
 
 def test_pade_norm_drift_over_eight_periods():
-    """Engine B's free step keeps the norm to 1e-12 over 8T on the default
-    lattice."""
+    """Engine B's free step on the default chain keeps the norm to 1e-12 over
+    8T on the default lattice."""
     lat = Lattice()
     wavefn = sample_gaussian(lat, 5.0)
     op = effective_hamiltonian(lat, MASS, OMEGA)
-    steps = int(np.ceil(8.0 * T / TIME_STEP))
+    reach = chain_reach(StroboscopicPlan(T / 2.0, 16), 5.0, 1e-5 * T, MASS, OMEGA)
+    steps = _steps_within(8.0 * T, free_step(reach, MASS, OMEGA))
     values = crank_nicolson_evolve(op, wavefn.values, 8.0 * T / steps, steps, substeps=PADE)
     assert abs(GridWavefunction(lat, values).norm_squared() - wavefn.norm_squared()) <= 1e-12
 
@@ -400,7 +425,8 @@ def test_headline_point_on_the_derived_lattice():
     +-44 x 1761 (dx 0.05): its packet's phase-space spread grows from 3.547
     to 5.488. B reads A there to +1.17e-5, as on +-60 x 2401."""
     plan = StroboscopicPlan(T / 2.0, 16)
-    assert derived_lattice(plan, 5.0, 1e-5 * T, MASS, OMEGA) == Lattice(-44.0, 44.0, 1761)
+    reach = chain_reach(plan, 5.0, 1e-5 * T, MASS, OMEGA)
+    assert derived_lattice(reach) == Lattice(-44.0, 44.0, 1761)
     rec = run_stroboscopic(None, plan, 5.0, 1e-5 * T, MASS, OMEGA, scan_at={16})[-1]
     exact = stroboscopic_widths(5.0, T / 2.0, 16, 1.0, 1e-5 * T, MASS, OMEGA)[-1]
     assert rec.delta_a_eff == pytest.approx(exact.delta_a_eff, rel=2e-5)
@@ -412,7 +438,8 @@ def test_derived_lattice_keeps_the_sweep_b_rows(dt_over_T):
     result in [-0.5, 0.5]) the derived +-29 x 1161 lattice gives the rows of
     +-60 x 2401 to 1e-9."""
     plan = StroboscopicPlan(dt_over_T * T, 4, result_value=-0.27)
-    assert derived_lattice(plan, 5.0, 1e-5 * T, MASS, OMEGA, center=0.31).points == 1161
+    reach = chain_reach(plan, 5.0, 1e-5 * T, MASS, OMEGA, center=0.31)
+    assert derived_lattice(reach).points == 1161
     derived, fixed = (run_stroboscopic(lat, plan, 5.0, 1e-5 * T, MASS, OMEGA, center=0.31,
                                        scan_at={4})[-1] for lat in (None, Lattice()))
     for field in ("delta_a_eff", "a_tilde", "norm_squared"):
@@ -444,13 +471,35 @@ def test_derived_lattice_holds_the_packet_mid_interval(width, center, error, dt_
     the packet at every time of an interval, not only at its ends."""
     plan = StroboscopicPlan(dt_over_T * T, 4, error=error)
     tau = 1e-5 * T
-    lat = derived_lattice(plan, width, tau, MASS, OMEGA, center=center)
+    reach = chain_reach(plan, width, tau, MASS, OMEGA, center=center)
+    lat, dt = derived_lattice(reach), free_step(reach, MASS, OMEGA)
     op = effective_hamiltonian(lat, MASS, OMEGA)
     wavefn = sample_gaussian(lat, width, center)
     for n, a in enumerate(plan.imposed_results(), 1):
         duration = plan.interval / (2.0 if n == plan.measurements - 1 else 1.0)
-        steps = _steps_within(duration, TIME_STEP)
+        steps = _steps_within(duration, dt)
         values = _gate(wavefn, op, error, tau, 1, 1.0)(float(a))
         wavefn = GridWavefunction(lat, crank_nicolson_evolve(op, values, duration / steps,
                                                              steps, substeps=PADE))
     assert wavefn.boundary_mass() < 1e-8 * wavefn.norm_squared()
+
+
+@pytest.mark.parametrize("width, center, error, dt_over_T, measurements", [
+    (5.0, 0.0, 1.0, 0.5, 16),
+    *((*config, 4) for config in _campaign()),
+    (2.0, 0.0, 0.5, 0.5, 6),
+], ids=["headline", *(f"campaign-{k}" for k in range(len(_campaign()))), "reach-51"])
+def test_derived_step_converges(monkeypatch, width, center, error, dt_over_T, measurements):
+    """B's last row at the derived free step is within 2e-5 of its row at
+    half that step: on the headline chain (8.9e-6), on the campaign configs,
+    and on a chain of reach 50.9, whose step of 0.0143 is finer than the
+    fixed 0.02 that put it 2.2e-4 off."""
+    plan = StroboscopicPlan(dt_over_T * T, measurements, error=error)
+
+    def last_row():
+        return run_stroboscopic(None, plan, width, 1e-5 * T, MASS, OMEGA, center=center,
+                                scan_at={measurements})[-1].delta_a_eff
+
+    derived = last_row()
+    monkeypatch.setattr(pde, "STEP_SCALE", pde.STEP_SCALE / 2.0)
+    assert derived == pytest.approx(last_row(), rel=2e-5)
