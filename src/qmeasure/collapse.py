@@ -11,13 +11,15 @@ with a_tilde the density's peak, measures how much the apparatus error da
 is diluted by the quantum spread of the state.
 
 Every outcome scan, engine C's here and engine B's on the lattice, is one
-routine, `_window_scan`: it lays out the outcomes on a window centered on
-the state's mean and 10x the expected uncertainty wide (or 10x the previous
-measurement's), takes the squared norms ||w_a psi||^2 its engine computes
-there, reruns once on a corrected window when the measured uncertainty is
-more than 15% off, and summarizes the norms with
-`OutcomeDistribution.from_norms`. `outcome_distribution` is that scan of one
-measurement on engine C's norms, as a chain's first scan.
+routine, `_window_scan`: it lays out SCAN_POINTS[kind] outcomes on a window
+centered on the state's mean and 10x the state's own expected uncertainty
+wide, takes the squared norms ||w_a psi||^2 its engine computes there,
+reruns once on a corrected window when the measured uncertainty is more
+than 15% off, and summarizes the norms with
+`OutcomeDistribution.from_norms`. A scan depends on its state alone, so a
+record does not depend on which other measurements of the chain were
+scanned. `outcome_distribution` is that scan of one measurement on engine
+C's norms.
 
 Engine C's norms come from `_scan_norms`, for either filter, on one shared
 quadrature grid: panels carrying one Gauss-Legendre rule each tile the live
@@ -199,38 +201,39 @@ def _refine_peak(outcomes: np.ndarray, density: np.ndarray) -> float:
     return float(outcomes[i] + np.clip(shift, -h, h))
 
 
-# outcomes per engine C scan; each window is sized to the measured
-# uncertainty, so the count resolves the density alike in every regime
-_SCAN_POINTS = 801
+# outcomes per scan, by filter kind; each window is sized to the expected
+# uncertainty, so a count resolves its density alike in every regime. On 129
+# outcomes the smooth Gaussian density reads the default chain and an
+# off-center one to 5.6e-8 relative in delta_a_eff and 6.4e-6 in a_tilde of
+# a 3,201-outcome scan; the step density's sharp-edged top keeps 801 (its
+# a_tilde still moves 6e-3 from 801 to 3,201 outcomes at 0.8 T)
+SCAN_POINTS = {"gaussian": 129, "step": 801}
 
 
 def outcome_distribution(state: EigenState, error: float, kind: str = "gaussian") -> OutcomeDistribution:
     """Outcome density of a single impulsive measurement of `state`, normalized:
-    the scan engine C runs on a chain's first measurement, on the same window."""
+    the scan engine C runs on every measurement of a chain."""
     mean, var = position_moments(state)
     work = state.normalized()
-    return _window_scan(lambda a: _scan_norms(work, kind, error, a), mean, var, error,
-                        _SCAN_POINTS, None)
+    return _window_scan(lambda a: _scan_norms(work, kind, error, a), mean, var, error, kind)
 
 
-def _window_scan(norms, center: float, var: float, error: float, points: int,
-                 seed: float | None) -> OutcomeDistribution:
+def _window_scan(norms, center: float, var: float, error: float, kind: str) -> OutcomeDistribution:
     """Engines B and C's outcome scan: `norms(outcomes)` gives ||w_a psi||^2
-    on `points` outcomes of a window centered on `center`, the state's mean.
+    on SCAN_POINTS[kind] outcomes of a window centered on `center`, the
+    state's mean.
 
     The window spans 10x sqrt(error^2 + 2 var), var the state's position
-    variance, raised to 10x `seed` (the previous measurement's uncertainty)
-    when one is given; if the measured uncertainty disagrees with the window
-    by more than 15% the scan runs once more at the corrected span.
+    variance; if the measured uncertainty disagrees with the window by more
+    than 15% the scan runs once more at the corrected span.
     """
+    points = SCAN_POINTS[kind]
+
     def scan(halfwidth: float) -> OutcomeDistribution:
         outcomes = np.linspace(center - halfwidth, center + halfwidth, points)
         return OutcomeDistribution.from_norms(outcomes, norms(outcomes))
 
-    guess = float(np.sqrt(error**2 + 2.0 * max(var, 0.0)))
-    if seed is not None:
-        guess = max(guess, seed)
-    halfwidth = 10.0 * guess
+    halfwidth = 10.0 * float(np.sqrt(error**2 + 2.0 * max(var, 0.0)))
     dist = scan(halfwidth)
     if abs(10.0 * dist.delta_a_eff - halfwidth) > 0.15 * halfwidth:
         dist = scan(10.0 * dist.delta_a_eff)

@@ -200,7 +200,7 @@ def stroboscopic_widths(
     plan = StroboscopicPlan(interval, measurements, "gaussian", error, results, result_value)
     return _scan_chain(plan, GaussianPacket.from_width(width, center=center),
                        _chain_advance(plan, gate_duration, mass, omega, hbar),
-                       lambda p, seed: (impulsive_uncertainty(p.width, error), p.center),
+                       lambda p: (impulsive_uncertainty(p.width, error), p.center),
                        lambda p: p.norm_squared, scan_at)
 
 

@@ -18,11 +18,13 @@ only the last; all go through that table alone, and `_records`
 turns chain records into ResultRecords in one place.
 The chains of a plan list are independent, so `_records` maps every
 engine's over k = min(plans, CPUs) threads of the calling process with
-`ThreadPoolExecutor.map`, taken in plan order. On two threads of 2 cores
-LAPACK's tridiagonal solves overlap (1.6-1.9x), numpy's loops over 2401-point
-arrays do not (0.4-0.9x), and two of engine B's free intervals ran 1.8-1.9x
-as fast when the host gave both cores. The threads share the memoized weight
-matrices and quadrature rules, which are read-only. Records
+`ThreadPoolExecutor.map`, taken in plan order. The threads do not overlap
+engine B's solves: scipy's wrapper of LAPACK's tridiagonal solve (zgttrs)
+holds the interpreter lock: on 2 cores two threads of 1,000 solves at 1,161
+points took 0.050 s, the same 2,000 in series 0.049 s, and the sweep-B
+chains 0.045 s in process on two CPUs against 0.044 s on one. The threads
+share the memoized weight matrices and quadrature rules, which are
+read-only. Records
 come back in plan order, and so does the first failure; chains not started
 by then never run. With k = 1 (one CPU, or a `run` or `validate`, whose plan
 is one chain) the builtin `map` runs them in the calling thread and no

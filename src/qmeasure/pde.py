@@ -91,8 +91,6 @@ class BoundaryLeakError(RuntimeError):
 # is GATE_STEP at any omega
 STEP_SCALE = 20.8
 GATE_STEP = 0.000625
-# outcomes per chain scan, on a window sized to the measured uncertainty
-SCAN_POINTS = 129
 # the derived lattice's spacing, and its walls' distance from the packet's
 # phase-space amplitude in phase-space spreads
 SPACING = 0.05
@@ -266,7 +264,7 @@ def _check_gate_steps(gate_steps: int, gate_duration: float):
 
 
 def _scan(wavefn: GridWavefunction, op: TridiagonalOperator, error: float, gate_duration: float,
-          gate_steps: int, points: int, hbar: float, seed: float | None) -> OutcomeDistribution:
+          gate_steps: int, hbar: float) -> OutcomeDistribution:
     """Outcome distribution from the gated norm at each candidate outcome,
     on `_window_scan`'s window centered on the packet's mean."""
     gate = _gate(wavefn, op, error, gate_duration, gate_steps, hbar)
@@ -275,7 +273,7 @@ def _scan(wavefn: GridWavefunction, op: TridiagonalOperator, error: float, gate_
         return [GridWavefunction(wavefn.lattice, gate(float(a), close=False)).norm_squared()
                 for a in outcomes]
 
-    return _window_scan(norms, *wavefn.moments(), error, points, seed)
+    return _window_scan(norms, *wavefn.moments(), error, "gaussian")
 
 
 def chain_reach(plan: StroboscopicPlan, width: float, gate_duration: float, mass: float,
@@ -310,10 +308,11 @@ def run_stroboscopic(lattice: Lattice | None, plan: StroboscopicPlan, width: flo
     """Full grid simulation of the plan, starting from a Gaussian packet.
 
     Each measurement is scanned by gating the same pre-gate state at each of
-    SCAN_POINTS candidate outcomes; the imposed result's gate, of
-    `gate_steps` Strang substeps none longer than GATE_STEP, then advances
-    the chain, followed by free evolution across the quiescent interval in
-    Pade steps no longer than `free_step` at the chain's reach.
+    the Gaussian filter's `collapse.SCAN_POINTS` candidate outcomes; the
+    imposed result's gate, of `gate_steps` Strang substeps none longer than
+    GATE_STEP, then advances the chain, followed by free evolution across the
+    quiescent interval in Pade steps no longer than `free_step` at the
+    chain's reach.
     `scan_at` restricts which measurements are scanned (all by default).
     A `lattice` of None is `derived_lattice`'s at that reach. Probability
     reaching the walls raises BoundaryLeakError.
@@ -339,9 +338,8 @@ def run_stroboscopic(lattice: Lattice | None, plan: StroboscopicPlan, width: flo
         _leak_check(wavefn, f"after interval {n}")
         return wavefn
 
-    def scan(wavefn: GridWavefunction, seed):
-        dist = _scan(wavefn.normalized(), free_op, plan.error, gate_duration, gate_steps,
-                     SCAN_POINTS, hbar, seed)
+    def scan(wavefn: GridWavefunction):
+        dist = _scan(wavefn.normalized(), free_op, plan.error, gate_duration, gate_steps, hbar)
         return dist.delta_a_eff, dist.a_tilde
 
     return _scan_chain(plan, wavefn, advance, scan, GridWavefunction.norm_squared, scan_at)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collapse import _SCAN_POINTS, OutcomeDistribution, _scan_norms, _window_scan
-from .oscillator import EigenState, free_phase_factors, position_moments
+from .collapse import OutcomeDistribution, outcome_distribution
+from .oscillator import EigenState, free_phase_factors
 from .weights import FILTER_KINDS, WeightSpec, weight_matrix
 
 
@@ -89,14 +89,10 @@ def qnd_commutator(basis, dt: float) -> float:
     return float(basis.hbar / (basis.mass * basis.omega) * np.sin(basis.omega * dt))
 
 
-def _seeded_scan(state: EigenState, kind: str, error: float,
-                 seed: float | None) -> OutcomeDistribution:
-    """Engine C's outcome scan of `state`, normalized, on a window seeded with
-    `seed`; with no seed it is `outcome_distribution`."""
-    mean, var = position_moments(state)
-    work = state.normalized()
-    return _window_scan(lambda a: _scan_norms(work, kind, error, a), mean, var, error,
-                        _SCAN_POINTS, seed)
+def _seeded_scan(state: EigenState, kind: str, error: float) -> OutcomeDistribution:
+    """Engine C's outcome scan of `state` within a chain: `outcome_distribution`.
+    perfbench's tracer counts chain scans under this name."""
+    return outcome_distribution(state, error, kind)
 
 
 @dataclass(frozen=True)
@@ -137,17 +133,12 @@ def _scan_chain(plan: StroboscopicPlan, state, advance, scan, norm,
                 scan_at: set[int] | None = None) -> list[ChainRecord]:
     """ChainRecords of the measurements in `scan_at` (all by default).
 
-    scan(state, seed) gives the (delta_a_eff, a_tilde) of the measurement
-    `state` enters, its window seeded with the previous scan's delta_a_eff
-    (None at the first scan); norm(state) gives the record's norm_squared.
+    scan(state) gives the (delta_a_eff, a_tilde) of the measurement `state`
+    enters; norm(state) gives the record's norm_squared.
     """
-    records, seed = [], None
-    for n, s, norm_squared in _chain_states(plan, state, advance, norm):
-        if scan_at is None or n in scan_at:
-            delta_a_eff, a_tilde = scan(s, seed)
-            records.append(ChainRecord(n, delta_a_eff, a_tilde, norm_squared))
-            seed = delta_a_eff
-    return records
+    return [ChainRecord(n, *scan(s), norm_squared)
+            for n, s, norm_squared in _chain_states(plan, state, advance, norm)
+            if scan_at is None or n in scan_at]
 
 
 def _filter(plan: StroboscopicPlan, basis, a: float) -> np.ndarray:
@@ -185,11 +176,11 @@ def uncertainty_evolution(plan: StroboscopicPlan, state: EigenState,
     The record for n holds the effective uncertainty and peak of the n-th
     outcome distribution given results 1..n-1 imposed, plus the squared norm
     of the unnormalized conditioned state entering the scan. `scan_at`
-    restricts which measurements are scanned (all by default); each scan's
-    window is seeded from the previous scan's uncertainty.
+    restricts which measurements are scanned (all by default), and a record
+    does not depend on it.
     """
-    def scan(s: EigenState, seed):
-        dist = _seeded_scan(s.normalized(), plan.filter_kind, plan.error, seed)
+    def scan(s: EigenState):
+        dist = _seeded_scan(s.normalized(), plan.filter_kind, plan.error)
         return dist.delta_a_eff, dist.a_tilde
 
     return _scan_chain(plan, state.normalized(), _eigen_advance(plan, state.basis), scan,
@@ -208,7 +199,7 @@ def apply_chain(plan: StroboscopicPlan, state: EigenState, final_a: float) -> Ei
 
 def nth_outcome_distribution(plan: StroboscopicPlan, state: EigenState) -> OutcomeDistribution:
     """Outcome distribution of the final (N-th) measurement of the plan."""
-    return _seeded_scan(_last_state(plan, state).normalized(), plan.filter_kind, plan.error, None)
+    return _seeded_scan(_last_state(plan, state).normalized(), plan.filter_kind, plan.error)
 
 
 @dataclass(frozen=True)
@@ -229,10 +220,10 @@ def asymptotic_uncertainty(plan: StroboscopicPlan, state: EigenState) -> Asympto
     """Record of the last measurement, scanning only n = N-2 and n = N.
 
     Intermediate measurements are imposed without scanning, so a length-N
-    chain costs two scans, and the scan at N-2 seeds the window of the scan
-    at N. `stabilized` means the two scans differ by under 1% relative, not
-    "converged"; same-parity steps are compared so period-two orbits of the
-    width (possible at quarter-period intervals) still count as stabilized.
+    chain costs two scans. `stabilized` means the two scans differ by under
+    1% relative, not "converged"; same-parity steps are compared so
+    period-two orbits of the width (possible at quarter-period intervals)
+    still count as stabilized.
     """
     N = plan.measurements
     *head, last = uncertainty_evolution(plan, state, scan_at={N - 2, N})

@@ -105,10 +105,11 @@ def weight_matrix(
     The integral runs over the filter's own support window (clipped to the
     basis domain), which keeps narrow filters fully resolved and reduces the
     step filter to a panel on which its integrand is smooth. The base rule
-    has at most `points` nodes; its quadrature error is estimated against a
-    rule with 1.4 times as many nodes, and estimates above `tolerance` raise
-    QuadratureError. Matrices are memoized per (basis, spec, points,
-    tolerance) and returned read-only.
+    has at most `points` nodes; its quadrature error is estimated against
+    the same rule on each half of the window, twice the density from no new
+    rule, and estimates above `tolerance` raise QuadratureError. Matrices
+    are memoized per (basis, spec, points, tolerance) and returned
+    read-only.
     """
     return _weight_matrix(basis, spec, int(points), float(tolerance))
 
@@ -125,14 +126,15 @@ def _weight_matrix(basis: OscillatorBasis, spec: WeightSpec, points: int,
         return WeightMatrix(basis, spec, m)
     lo, hi, nodes = window
 
-    def build(count: int) -> np.ndarray:
-        x, w = gauss_legendre(lo, hi, count)
+    def build(*cuts: float) -> np.ndarray:
+        x, w = map(np.concatenate, zip(*(gauss_legendre(a, b, nodes)
+                                         for a, b in zip(cuts, cuts[1:]))))
         u = eigenfunction_matrix(basis, x)
         f = evaluate_weight(spec, x)
         return (u * (w * f)) @ u.T
 
-    m = build(nodes)
-    err = float(np.max(np.abs(m - build(int(nodes * 1.4) + 7))))
+    m = build(lo, hi)
+    err = float(np.max(np.abs(m - build(lo, 0.5 * (lo + hi), hi))))
     if err > tolerance:
         raise QuadratureError(
             f"weight matrix quadrature error {err:.3e} exceeds {tolerance:.1e}; "

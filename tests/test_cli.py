@@ -169,6 +169,24 @@ def test_grid_coverage_failure_names_a_config_key(tmp_path, capsys):
     assert "numerics.levels" in err
 
 
+@pytest.mark.parametrize("levels", [96, 128])
+def test_truncated_chain_stops_instead_of_a_wrong_row(tmp_path, capsys, levels):
+    """Constant results 2 at T/2 squeeze the packet past 96 levels: there
+    engine C read 2.2% above engine A with exit 0 until its Gaussian scan
+    took 129 outcomes, whose edge guard now reads 1.85e-6 and stops the run.
+    128 levels hold the chain, and it validates (A/C late gap 0.153%)."""
+    cfg = _write_config(tmp_path, {"plan": {"result_value": 2.0},
+                                   "numerics": {"levels": levels}})
+    if levels == 96:
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: GridCoverageError: ")
+        assert "numerics.levels" in err
+    else:
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert "late 0.153% (tol 1%) [ok]" in capsys.readouterr().out
+
+
 def test_result_deep_in_the_tail_is_a_numerical_failure(tmp_path, capsys):
     """Imposing 4 keeps about 1e-14 of the chain norm at measurement 2, where
     the half period has mirrored the packet to about -3.8; engine C's

@@ -31,7 +31,7 @@ from qmeasure import (
     uncertainty_evolution,
     validate_config,
 )
-from qmeasure import harness, oscillator, weights
+from qmeasure import collapse, harness, oscillator, weights
 from qmeasure.harness import CSV_HEADER, DISTRIBUTION_HEADER
 
 FAST = {
@@ -268,6 +268,24 @@ def test_cross_validate_passes(tmp_path):
     assert pair.engines == "A/C"
     assert pair.max_rel_late <= 0.01
     assert pair.max_rel_early <= 0.10
+
+
+@pytest.mark.parametrize("mapping", [
+    {},
+    # perfbench's run-default at seed 31: off-center packet, imposed result
+    {"state": {"center": -0.48772}, "plan": {"result_value": -0.38760}},
+], ids=["default", "off-center"])
+def test_gaussian_scan_resolves_its_density(monkeypatch, mapping):
+    """Engine C's Gaussian scans on their shipped outcome count read the
+    rows of 3,201 outcomes to 1e-7 relative in delta_a_eff (5.6e-8 measured)
+    and to 1e-5 in a_tilde (6.4e-6 measured)."""
+    cfg = config_from_mapping({"engines": ["C"], **mapping})
+    shipped = {r.n: r for r in run(cfg)}
+    monkeypatch.setitem(collapse.SCAN_POINTS, "gaussian", 3201)
+    fine = {r.n: r for r in run(cfg)}
+    for n in (1, 8, 16):
+        assert shipped[n].delta_a_eff == pytest.approx(fine[n].delta_a_eff, rel=1e-7, abs=0.0)
+        assert shipped[n].a_tilde == pytest.approx(fine[n].a_tilde, rel=0.0, abs=1e-5)
 
 
 def test_cross_validate_requirements():

@@ -20,7 +20,7 @@ from qmeasure import (
     sample_gaussian,
     stroboscopic_widths,
 )
-from qmeasure import pde
+from qmeasure import collapse, pde
 from qmeasure.pde import (PADE, TridiagonalOperator, _gate, _scan, _steps_within, chain_reach,
                           derived_lattice, free_step)
 
@@ -258,7 +258,8 @@ def test_scan_factors_its_gate_once(monkeypatch):
     op = effective_hamiltonian(COARSE, MASS, OMEGA)
     factorizations = _counting(monkeypatch, "zgttrf")
     for points in (33, 65):
-        _scan(wavefn, op, 1.0, 0.005, 3, points, 1.0, None)
+        monkeypatch.setitem(collapse.SCAN_POINTS, "gaussian", points)
+        _scan(wavefn, op, 1.0, 0.005, 3, 1.0)
     assert len(factorizations) == 2
 
 
@@ -339,12 +340,13 @@ def test_gate_is_impulsive_filter():
 
 
 @pytest.mark.parametrize("steps", [1, 3])
-def test_scan_norms_are_full_gate_norms(steps):
+def test_scan_norms_are_full_gate_norms(monkeypatch, steps):
     """The scan skips the closing half substep, which keeps the norm."""
     tau, err = 0.05, 1.0
     wavefn = sample_gaussian(COARSE, 2.0, center=0.4)
     op = effective_hamiltonian(COARSE, MASS, OMEGA)
-    dist = _scan(wavefn, op, err, tau, steps, 65, 1.0, None)
+    monkeypatch.setitem(collapse.SCAN_POINTS, "gaussian", 65)
+    dist = _scan(wavefn, op, err, tau, steps, 1.0)
     gate = _gate(wavefn, op, err, tau, steps, 1.0)
     norms = np.array([np.trapezoid(np.abs(gate(a)) ** 2, dx=COARSE.dx) for a in dist.outcomes])
     expected = norms / np.trapezoid(norms, dist.outcomes)
