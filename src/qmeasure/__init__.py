@@ -11,9 +11,10 @@ import os
 
 # a sweep runs its chains on one thread per CPU (see `harness`), so the
 # process asks its BLAS for one thread unless the environment names a count:
-# spare BLAS threads contend with the chains for the cores (on 2 cores the
-# default sweep took 1.5-1.8 s this way, 2.2-2.7 s with two BLAS threads); a
-# process that imported numpy first keeps numpy's threads
+# spare BLAS threads contend with the chains for the cores (on 2 cores, medians
+# of 7 warm default sweeps in each of five processes read 0.16-0.19 s this
+# way, 0.17-0.20 s with two BLAS threads, whose slowest sweep took 0.26 s
+# against 0.21 s); a process that imported numpy first keeps numpy's threads
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 del _name
@@ -25,7 +26,6 @@ from .collapse import (
 )
 from .gaussian_analytic import (
     GaussianPacket,
-    critical_time,
     evolve_free,
     evolve_measured,
     impulsive_uncertainty,
@@ -52,13 +52,9 @@ from .oscillator import (
     EigenState,
     OscillatorBasis,
     QuadratureError,
-    Quadrature,
-    basis_quadrature,
-    eigenfunction,
     eigenfunction_matrix,
     free_phase_factors,
     gauss_legendre,
-    level_energies,
     position_moments,
     position_wavefunction,
     project_gaussian,
@@ -67,19 +63,15 @@ from .pde import (
     BoundaryLeakError,
     GridWavefunction,
     Lattice,
-    StepFilterUnsupportedError,
     crank_nicolson_evolve,
     effective_hamiltonian,
     run_stroboscopic,
     sample_gaussian,
 )
 from .stroboscopic import (
-    AsymptoticResult,
     ChainRecord,
     ChainUnderflowError,
     StroboscopicPlan,
-    apply_chain,
-    asymptotic_uncertainty,
     nth_outcome_distribution,
     qnd_commutator,
     uncertainty_evolution,

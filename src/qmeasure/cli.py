@@ -26,7 +26,7 @@ from .harness import (
     validate_config,
 )
 from .oscillator import QuadratureError
-from .pde import BoundaryLeakError, StepFilterUnsupportedError
+from .pde import BoundaryLeakError
 from .stroboscopic import ChainUnderflowError
 
 _NUMERICAL = (TruncationError, QuadratureError, GridCoverageError,
@@ -118,7 +118,7 @@ def main(argv=None) -> int:
                               for p in report.pairs],
                 },
             })
-    except (ConfigError, StepFilterUnsupportedError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL as exc:

@@ -162,8 +162,9 @@ class OutcomeDistribution:
         """Summarize raw collapsed norms ||w_a psi||^2 into a distribution,
         P(a) ~ ||w_a psi||^2 (the Born rule in the sharp-filter limit).
         GridCoverageError when the two end samples carry over 1e-6 of it; on
-        a chain's self-sizing scan window that mass is a truncated basis's
-        spread, so the message names numerics.levels."""
+        a chain's self-sizing scan window that mass is the spread of a
+        truncated basis (engine C) or of a coarse lattice (engine B), so the
+        message names what each engine reads."""
         outcomes = np.asarray(outcomes, dtype=float)
         raw = np.asarray(norms_squared, dtype=float)
         total = np.trapezoid(raw, outcomes)
@@ -175,7 +176,7 @@ class OutcomeDistribution:
         if boundary > 1e-6:
             raise GridCoverageError(
                 f"probability mass {boundary:.3e} at the scan window's edges exceeds 1e-06; "
-                "raise numerics.levels"
+                "raise numerics.levels (engine C) or set a finer numerics.lattice (engine B)"
             )
         a_tilde = _refine_peak(outcomes, density)
         daeff = float(np.sqrt(2.0 * np.trapezoid((outcomes - a_tilde) ** 2 * density, outcomes)))

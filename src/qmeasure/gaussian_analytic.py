@@ -85,11 +85,6 @@ class GaussianPacket:
                 float(np.sqrt(0.25 / g.real + (hbar / scale) ** 2 * abs(g) ** 2 / g.real)))
 
 
-def critical_time(width: float, error: float, mass: float, hbar: float = 1.0) -> float:
-    """Gate duration below which a measurement acts impulsively."""
-    return (mass / hbar) / (error**-2 + width**-2)
-
-
 def impulsive_uncertainty(width: float, error: float) -> float:
     """Effective outcome uncertainty sqrt(error^2 + width^2)."""
     return float(np.hypot(width, error))

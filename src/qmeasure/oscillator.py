@@ -62,12 +62,6 @@ class OscillatorBasis:
         return float(np.sqrt((2 * n + 1.0)) * self.length_scale)
 
 
-def level_energies(basis: OscillatorBasis) -> np.ndarray:
-    """E_n = hbar*omega*(n + 1/2) for all retained levels."""
-    n = np.arange(basis.n_max)
-    return basis.hbar * basis.omega * (n + 0.5)
-
-
 def free_phase_factors(basis: OscillatorBasis, dt: float) -> np.ndarray:
     """Diagonal of the free propagator, exp(-i E_n dt / hbar)."""
     return np.exp(-1j * basis.omega * dt * (np.arange(basis.n_max) + 0.5))
@@ -89,13 +83,6 @@ def eigenfunction_matrix(basis: OscillatorBasis, x) -> np.ndarray:
     for n in range(1, basis.n_max - 1):
         out[n + 1] = np.sqrt(2.0 / (n + 1)) * xi * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
     return out
-
-
-def eigenfunction(basis: OscillatorBasis, n: int, x) -> np.ndarray:
-    """Single normalized eigenfunction u_n(x)."""
-    if not 0 <= n < basis.n_max:
-        raise ValueError(f"level {n} outside retained range 0..{basis.n_max - 1}")
-    return eigenfunction_matrix(basis, x)[n]
 
 
 @dataclass
@@ -154,14 +141,6 @@ def position_moments(state: EigenState) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # quadrature helpers shared by the weight-matrix and projection code
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Quadrature:
-    """Nodes and weights of a fixed rule on [-halfwidth, halfwidth]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
 
 @lru_cache(maxsize=64)
 def _legendre_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,13 +214,6 @@ def domain_halfwidth(basis: OscillatorBasis, reach: float = 0.0) -> float:
     return max(float(reach), 8.0 * lx, basis.turning_point(basis.n_max - 1) + 6.0 * lx)
 
 
-def basis_quadrature(basis: OscillatorBasis, reach: float = 0.0, points: int = 800) -> Quadrature:
-    """Full-domain Gauss-Legendre rule for integrals against eigenfunctions."""
-    L = domain_halfwidth(basis, reach)
-    x, w = gauss_legendre(-L, L, points)
-    return Quadrature(x, w)
-
-
 # the largest rule project_gaussian builds: 1,000 levels and width 0.3 take
 # 3,344 nodes, and the eigenfunctions on 4,000 take 32 MB at 1,000 levels
 _MAX_PROJECTION_NODES = 4000
@@ -270,7 +242,7 @@ def project_gaussian(
     """
     if width <= 0:
         raise ValueError("packet width must be positive")
-    reach = abs(center) + 8.0 * width
+    L = domain_halfwidth(basis, abs(center) + 8.0 * width)
     # Gauss-Legendre nodes lie about pi L / points apart mid-domain on
     # [-L, L]; the top level oscillates there at wavenumber
     # sqrt(2 n_max + 1)/lx, and the packet's spectrum falls to roundoff at
@@ -278,14 +250,13 @@ def project_gaussian(
     # nodes per unit of L times their sum gave every coefficient to 1e-11;
     # the floor keeps the rule of 800 nodes wherever that sufficed
     k = np.sqrt(2.0 * basis.n_max + 1.0) / basis.length_scale + 8.0 / width
-    points = max(800, int(np.ceil(0.8 * domain_halfwidth(basis, reach) * k)))
+    points = max(800, int(np.ceil(0.8 * L * k)))
     if points > _MAX_PROJECTION_NODES:
         raise QuadratureError(
             f"quadrature cannot resolve the packet: it needs {points} nodes, more than "
             f"{_MAX_PROJECTION_NODES}; widen the packet or lower the level count"
         )
-    quad = basis_quadrature(basis, reach, points)
-    x, w = quad.nodes, quad.weights
+    x, w = gauss_legendre(-L, L, points)
     psi = (np.pi * width**2) ** -0.25 * np.exp(-((x - center) ** 2) / (2.0 * width**2))
     # convergence guard: the rule must at least integrate the packet itself
     packet_norm = float(np.sum(w * psi**2))

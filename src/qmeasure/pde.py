@@ -78,10 +78,6 @@ from .stroboscopic import ChainRecord, StroboscopicPlan, _chain_states, _scan_ch
 from .weights import WeightSpec, evaluate_weight
 
 
-class StepFilterUnsupportedError(ValueError):
-    """The grid engine only implements the Gaussian gate Hamiltonian."""
-
-
 class BoundaryLeakError(RuntimeError):
     """Probability reached the lattice walls; results would be corrupted."""
 
@@ -318,7 +314,7 @@ def run_stroboscopic(lattice: Lattice | None, plan: StroboscopicPlan, width: flo
     reaching the walls raises BoundaryLeakError.
     """
     if plan.filter_kind != "gaussian":
-        raise StepFilterUnsupportedError("step filters have no local gate Hamiltonian on the grid")
+        raise ValueError("step filters have no local gate Hamiltonian on the grid")
     if gate_duration <= 0:
         raise ValueError("gate_duration must be positive")
     _check_gate_steps(gate_steps, gate_duration)

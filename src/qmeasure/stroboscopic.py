@@ -187,46 +187,6 @@ def uncertainty_evolution(plan: StroboscopicPlan, state: EigenState,
                        _norm_squared, scan_at)
 
 
-def apply_chain(plan: StroboscopicPlan, state: EigenState, final_a: float) -> EigenState:
-    """Unnormalized state after the full plan with the last outcome final_a.
-
-    Imposes results 1..N-1 with free evolution in between, then applies the
-    N-th filter at final_a (no evolution afterwards).
-    """
-    last = _last_state(plan, state)
-    return EigenState(state.basis, _filter(plan, state.basis, float(final_a)) @ last.coefficients)
-
-
 def nth_outcome_distribution(plan: StroboscopicPlan, state: EigenState) -> OutcomeDistribution:
     """Outcome distribution of the final (N-th) measurement of the plan."""
     return _seeded_scan(_last_state(plan, state).normalized(), plan.filter_kind, plan.error)
-
-
-@dataclass(frozen=True)
-class AsymptoticResult(ChainRecord):
-    """Record of measurement N, with the scan at N-2 as a stability check.
-
-    `reference` is the delta_a_eff scanned at N-2 (NaN when N < 3).
-    `stabilized` means the scans at N-2 and N differ by under 1%, not that
-    the chain has converged: at dt = T/2 they read 1.0377 and 1.0327, yet the
-    sequence still falls toward the instrumental error as n grows.
-    """
-
-    stabilized: bool
-    reference: float
-
-
-def asymptotic_uncertainty(plan: StroboscopicPlan, state: EigenState) -> AsymptoticResult:
-    """Record of the last measurement, scanning only n = N-2 and n = N.
-
-    Intermediate measurements are imposed without scanning, so a length-N
-    chain costs two scans. `stabilized` means the two scans differ by under
-    1% relative, not "converged"; same-parity steps are compared so
-    period-two orbits of the width (possible at quarter-period intervals)
-    still count as stabilized.
-    """
-    N = plan.measurements
-    *head, last = uncertainty_evolution(plan, state, scan_at={N - 2, N})
-    reference = head[0].delta_a_eff if head else float("nan")
-    stabilized = bool(head and abs(last.delta_a_eff - reference) <= 0.01 * last.delta_a_eff)
-    return AsymptoticResult(**vars(last), stabilized=stabilized, reference=reference)

@@ -76,14 +76,20 @@ class WeightMatrix:
     quad_error: float = 0.0
 
 
-def quadrature_nodes(length: float, budget: int = 800) -> int:
+# the most Gauss-Legendre nodes a window's base rule takes, and the largest
+# quadrature error estimate a weight matrix may carry
+NODE_BUDGET = 800
+TOLERANCE = 1e-8
+
+
+def quadrature_nodes(length: float) -> int:
     """Gauss-Legendre node count for a window of the given length."""
     # 16 nodes per unit length keeps several nodes per oscillation of the
     # highest retained level
-    return int(min(budget, max(64, 16.0 * length + 48)))
+    return int(min(NODE_BUDGET, max(64, 16.0 * length + 48)))
 
 
-def _window(spec: WeightSpec, limit: float, budget: int) -> tuple[float, float, int] | None:
+def _window(spec: WeightSpec, limit: float) -> tuple[float, float, int] | None:
     """The filter's support window clipped to the basis domain, with the
     node count of its base rule (None when the window is empty)."""
     half = spec.window_halfwidth()
@@ -91,35 +97,29 @@ def _window(spec: WeightSpec, limit: float, budget: int) -> tuple[float, float, 
     hi = min(limit, spec.center + half)
     if hi <= lo:
         return None
-    return lo, hi, quadrature_nodes(hi - lo, budget)
+    return lo, hi, quadrature_nodes(hi - lo)
 
 
-def weight_matrix(
-    basis: OscillatorBasis,
-    spec: WeightSpec,
-    points: int = 800,
-    tolerance: float = 1e-8,
-) -> WeightMatrix:
+def weight_matrix(basis: OscillatorBasis, spec: WeightSpec) -> WeightMatrix:
     """Build W_ij = <u_i| w_a |u_j> over the truncated basis.
 
     The integral runs over the filter's own support window (clipped to the
     basis domain), which keeps narrow filters fully resolved and reduces the
     step filter to a panel on which its integrand is smooth. The base rule
-    has at most `points` nodes; its quadrature error is estimated against
+    has at most NODE_BUDGET nodes; its quadrature error is estimated against
     the same rule on each half of the window, twice the density from no new
-    rule, and estimates above `tolerance` raise QuadratureError. Matrices
-    are memoized per (basis, spec, points, tolerance) and returned
-    read-only.
+    rule, and estimates above TOLERANCE raise QuadratureError. Matrices are
+    memoized per (basis, spec) and returned read-only; the cache sits
+    behind this plain function, which perfbench's tracer wraps.
     """
-    return _weight_matrix(basis, spec, int(points), float(tolerance))
+    return _weight_matrix(basis, spec)
 
 
 @lru_cache(maxsize=256)
-def _weight_matrix(basis: OscillatorBasis, spec: WeightSpec, points: int,
-                   tolerance: float) -> WeightMatrix:
+def _weight_matrix(basis: OscillatorBasis, spec: WeightSpec) -> WeightMatrix:
     # a chain imposes the same filter at every step, and a sweep rebuilds
     # the same chain at every grid point
-    window = _window(spec, domain_halfwidth(basis), points)
+    window = _window(spec, domain_halfwidth(basis))
     if window is None:
         m = np.zeros((basis.n_max, basis.n_max))
         m.setflags(write=False)
@@ -135,10 +135,10 @@ def _weight_matrix(basis: OscillatorBasis, spec: WeightSpec, points: int,
 
     m = build(lo, hi)
     err = float(np.max(np.abs(m - build(lo, 0.5 * (lo + hi), hi))))
-    if err > tolerance:
+    if err > TOLERANCE:
         raise QuadratureError(
-            f"weight matrix quadrature error {err:.3e} exceeds {tolerance:.1e}; "
-            "raise the node budget"
+            f"weight matrix quadrature error {err:.3e} exceeds {TOLERANCE:.1e}; "
+            "raise weights.NODE_BUDGET"
         )
     m.setflags(write=False)
     return WeightMatrix(basis, spec, m, err)

@@ -169,6 +169,19 @@ def test_grid_coverage_failure_names_a_config_key(tmp_path, capsys):
     assert "numerics.levels" in err
 
 
+def test_lattice_scan_edge_failure_names_the_lattice(tmp_path, capsys):
+    """Engine B's scan of a 0.2-error chain on a 0.2-spaced lattice leaves
+    2.8e-5 of its density at the window's edges; the message names the key
+    engine B reads (a 0.067 spacing on +-40 runs this chain)."""
+    cfg = _write_config(tmp_path, {
+        "engines": ["B"], "filter": {"error": 0.2}, "plan": {"measurements": 3},
+        "numerics": {"lattice": {"x_min": -30, "x_max": 30, "points": 301}}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: GridCoverageError: probability mass 2.820e-05 ")
+    assert "a finer numerics.lattice (engine B)" in err
+
+
 @pytest.mark.parametrize("levels", [96, 128])
 def test_truncated_chain_stops_instead_of_a_wrong_row(tmp_path, capsys, levels):
     """Constant results 2 at T/2 squeeze the packet past 96 levels: there

@@ -225,6 +225,13 @@ def test_near_tied_peaks_pick_the_first():
     assert dist.a_tilde == pytest.approx(-0.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("fill", [0.0, np.nan], ids=["zero", "nan"])
+def test_from_norms_rejects_a_grid_without_probability(fill):
+    a = np.linspace(-1.0, 1.0, 101)
+    with pytest.raises(GridCoverageError, match="carries no probability"):
+        OutcomeDistribution.from_norms(a, np.full_like(a, fill))
+
+
 def test_from_norms_rejects_uncovered_density():
     a = np.linspace(-1.0, 1.0, 101)
     with pytest.raises(GridCoverageError):

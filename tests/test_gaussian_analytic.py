@@ -4,7 +4,6 @@ import pytest
 from qmeasure import (
     GaussianPacket,
     Lattice,
-    critical_time,
     effective_hamiltonian,
     evolve_free,
     evolve_measured,
@@ -114,9 +113,7 @@ def test_measured_segment_against_grid():
     assert np.sqrt(2.0 * var) == pytest.approx(p.width, rel=1e-5)
 
 
-def test_critical_time_value():
-    # (m/hbar) / (err^-2 + width^-2) at the defaults
-    assert critical_time(5.0, 1.0, MASS) == pytest.approx(25.0 / 52.0)
+def test_impulsive_uncertainty_value():
     assert impulsive_uncertainty(5.0, 1.0) == pytest.approx(np.sqrt(26.0))
 
 

@@ -9,7 +9,6 @@ from qmeasure import (
     GaussianPacket,
     GridWavefunction,
     Lattice,
-    StepFilterUnsupportedError,
     StroboscopicPlan,
     crank_nicolson_evolve,
     effective_hamiltonian,
@@ -410,7 +409,7 @@ def test_scan_subset():
 
 def test_step_filter_rejected():
     plan = StroboscopicPlan(T / 2.0, 2, filter_kind="step")
-    with pytest.raises(StepFilterUnsupportedError):
+    with pytest.raises(ValueError):
         run_stroboscopic(COARSE, plan, 5.0, 1e-5 * T, MASS, OMEGA)
 
 

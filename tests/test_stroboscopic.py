@@ -7,8 +7,7 @@ from qmeasure import (
     EigenState,
     Lattice,
     StroboscopicPlan,
-    apply_chain,
-    asymptotic_uncertainty,
+    WeightSpec,
     config_from_mapping,
     distribution,
     nth_outcome_distribution,
@@ -19,6 +18,7 @@ from qmeasure import (
     stroboscopic_widths,
     sweep,
     uncertainty_evolution,
+    weight_matrix,
 )
 from qmeasure import stroboscopic
 
@@ -78,14 +78,16 @@ def test_chain_against_packet_engine(packet):
 
 
 def test_apply_chain_consistency(packet):
-    """nth_outcome_distribution equals manual norms of apply_chain states."""
+    """nth_outcome_distribution equals manual norms of the chain's state
+    entering measurement N, filtered at each outcome."""
     plan = StroboscopicPlan(T / 2.0, 3)
     dist = nth_outcome_distribution(plan, packet)
     idx = [int(f * len(dist.outcomes)) for f in (0.1, 0.5, 0.9)]
+    last = stroboscopic._last_state(plan, packet).coefficients
     manual = []
     for i in idx:
-        final = apply_chain(plan, packet, float(dist.outcomes[i]))
-        manual.append(final.norm() ** 2)
+        spec = WeightSpec(plan.filter_kind, center=float(dist.outcomes[i]), error=plan.error)
+        manual.append(np.linalg.norm(weight_matrix(packet.basis, spec).matrix @ last) ** 2)
     manual = np.asarray(manual)
     scale = dist.density[idx[1]] / manual[1]
     assert np.allclose(dist.density[idx], manual * scale, rtol=1e-8)
@@ -94,32 +96,13 @@ def test_apply_chain_consistency(packet):
 def test_scan_subset(packet):
     """A record depends on its own measurement alone, not on which others
     were scanned."""
-    for kind in ("gaussian", "step"):
-        for fraction in (0.25, 0.37, 0.5):
-            plan = StroboscopicPlan(fraction * T, 3, filter_kind=kind)
-            full = uncertainty_evolution(plan, packet)
-            recs = uncertainty_evolution(plan, packet, scan_at={1, 3})
-            assert recs == [full[0], full[2]], (kind, fraction)
-
-
-def test_asymptotic_matches_full_chain(packet):
-    plan = StroboscopicPlan(T / 2.0, 12)
-    full = uncertainty_evolution(plan, packet)
-    res = asymptotic_uncertainty(plan, packet)
-    assert res.delta_a_eff == full[-1].delta_a_eff
-    assert res.stabilized
-    assert res.reference == full[-3].delta_a_eff
-
-
-def test_asymptotic_uncertainty_is_the_record_of_measurement_n(packet):
-    """asymptotic_uncertainty is measurement N's ChainRecord from the chain
-    scanned at N-2 and N."""
-    plan = StroboscopicPlan(T / 2.0, 8)
-    res = asymptotic_uncertainty(plan, packet)
-    assert isinstance(res, ChainRecord) and res.n == 8
-    last = uncertainty_evolution(plan, packet, scan_at={6, 8})[-1]
-    assert (res.delta_a_eff, res.a_tilde, res.norm_squared) == (
-        last.delta_a_eff, last.a_tilde, last.norm_squared)
+    cases = [(kind, fraction, 3, {1, 3}) for kind in ("gaussian", "step")
+             for fraction in (0.25, 0.37, 0.5)] + [("gaussian", 0.5, 12, {10, 12})]
+    for kind, fraction, measurements, scan_at in cases:
+        plan = StroboscopicPlan(fraction * T, measurements, filter_kind=kind)
+        full = uncertainty_evolution(plan, packet)
+        recs = uncertainty_evolution(plan, packet, scan_at=scan_at)
+        assert recs == [full[n - 1] for n in sorted(scan_at)], (kind, fraction, measurements)
 
 
 def _engine_c_sweep(start: float, stop: float, points: int, measurements: int) -> list:
@@ -164,15 +147,16 @@ def test_sweep_scans_engine_c_once_per_chain(monkeypatch):
 
 def test_quarter_period_fixed_point(packet):
     plan = StroboscopicPlan(T / 4.0, 16)
-    res = asymptotic_uncertainty(plan, packet)
+    [res] = uncertainty_evolution(plan, packet, scan_at={16})
     assert res.delta_a_eff == pytest.approx(1.0 + np.sqrt(2.0), abs=1e-6)
 
 
 def test_alternating_results_keep_uncertainty(packet):
     """Imposing +-1 alternately changes centers, not the asymptotic spread."""
-    base = asymptotic_uncertainty(StroboscopicPlan(T / 2.0, 12), packet)
-    alt = asymptotic_uncertainty(
-        StroboscopicPlan(T / 2.0, 12, results="alternating", result_value=1.0), packet)
+    [base] = uncertainty_evolution(StroboscopicPlan(T / 2.0, 12), packet, scan_at={12})
+    [alt] = uncertainty_evolution(
+        StroboscopicPlan(T / 2.0, 12, results="alternating", result_value=1.0), packet,
+        scan_at={12})
     assert alt.delta_a_eff == pytest.approx(base.delta_a_eff, rel=0.02)
     assert abs(alt.a_tilde) < 1.2
 

@@ -9,6 +9,7 @@ from qmeasure import (
     measurement_coupling,
     weight_matrix,
 )
+from qmeasure import weights
 from qmeasure.oscillator import _legendre_rule
 
 # closed forms for the centered unit-error filters in the default units:
@@ -110,22 +111,32 @@ def test_norm_contraction(basis, rng):
             assert np.linalg.norm(w @ c) <= 1.0 + 1e-12
 
 
-def test_unconverged_quadrature_raises(basis):
+@pytest.fixture
+def starved_quadrature(monkeypatch):
+    """A 40-node budget against a 1e-14 tolerance, on an empty matrix cache."""
+    monkeypatch.setattr(weights, "NODE_BUDGET", 40)
+    monkeypatch.setattr(weights, "TOLERANCE", 1e-14)
+    weights._weight_matrix.cache_clear()
+    yield
+    weights._weight_matrix.cache_clear()
+
+
+def test_unconverged_quadrature_raises(basis, starved_quadrature):
     with pytest.raises(QuadratureError):
-        weight_matrix(basis, WeightSpec("gaussian", error=0.3), points=40, tolerance=1e-14)
+        weight_matrix(basis, WeightSpec("gaussian", error=0.3))
 
 
-def test_quadrature_error_raises_on_every_call(basis):
+def test_quadrature_error_raises_on_every_call(basis, starved_quadrature):
     # failures are not memoized
     for _ in range(2):
         with pytest.raises(QuadratureError):
-            weight_matrix(basis, WeightSpec("gaussian", error=0.3), points=40, tolerance=1e-14)
+            weight_matrix(basis, WeightSpec("gaussian", error=0.3))
 
 
 def test_cached_rules_and_matrices_are_read_only(basis):
     spec = WeightSpec("gaussian", center=0.3)
     wm = weight_matrix(basis, spec)
-    assert weight_matrix(basis, spec, 800, 1e-8) is wm
+    assert weight_matrix(basis, spec) is wm
     assert not wm.matrix.flags.writeable
     empty = weight_matrix(basis, WeightSpec("step", center=1e3))
     assert not empty.matrix.flags.writeable and not empty.matrix.any()
