@@ -9,12 +9,14 @@ Strang-split Gaussian filters, and eigenbasis filter-matrix chains.
 
 import os
 
-# a sweep runs its chains on one thread per CPU (see `harness`), so the
-# process asks its BLAS for one thread unless the environment names a count:
-# spare BLAS threads contend with the chains for the cores (on 2 cores, medians
-# of 7 warm default sweeps in each of five processes read 0.16-0.19 s this
-# way, 0.17-0.20 s with two BLAS threads, whose slowest sweep took 0.26 s
-# against 0.21 s); a process that imported numpy first keeps numpy's threads
+# the process asks its BLAS for one thread unless the environment names a
+# count: a second thread makes no command faster (on 2 cores, the median of
+# five alternating processes, each the median of 7 warm runs, read 0.025
+# against 0.026 s for `run`, 0.18 against 0.23 s for the default sweep and
+# 0.27 against 0.29 s for the step sweep), and the output bytes depend on
+# the thread count (engine C's a_tilde at a symmetric peak is 0 on one
+# thread and +-1e-14 of roundoff on two); a process that imported numpy
+# first keeps numpy's threads
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 del _name

@@ -24,13 +24,16 @@ C's norms.
 Engine C's norms come from `_scan_norms`, for either filter, on one shared
 quadrature grid: panels carrying one Gauss-Legendre rule each tile the live
 windows, and the eigenfunctions are evaluated once on their nodes. Gaussian
-panels are as wide as a filter window; step panels run between consecutive
-window edges, so the step's jumps fall on panel ends and its indicator is
-exact on every node. The outcomes, in order of position, are then reduced
-in blocks of 32, each by one real matrix product over only the nodes its
-windows cover, straight to their squared norms. Past its (2 n_max, nodes)
-grid array a scan allocates only a block's arrays, so repeated scans reuse
-memory the allocator already holds instead of faulting in fresh pages.
+panels are as wide as a filter window. The outcomes, in order of position,
+are reduced in blocks of 32, each by one real matrix product over only the
+nodes its windows cover, straight to their squared norms. Past its
+(2 n_max, nodes) grid array a Gaussian scan allocates only a block's arrays,
+so repeated scans reuse memory the allocator already holds instead of
+faulting in fresh pages. Step panels run between consecutive window edges,
+so the step's jumps fall on panel ends and every window is a run of whole
+panels: its coefficients of w_a psi are a difference of running sums of
+the panel integrals, and the step scan keeps no array of nodes past the
+eigenfunctions.
 """
 
 from __future__ import annotations
@@ -58,9 +61,14 @@ class GridCoverageError(RuntimeError):
 _BLOCK = 32
 
 
+def _squared_norms(z: np.ndarray) -> np.ndarray:
+    """Squared norms of the columns of a complex matrix."""
+    return np.einsum("ij,ij->j", z.real, z.real) + np.einsum("ij,ij->j", z.imag, z.imag)
+
+
 def _scan_norms(state: EigenState, kind: str, error: float, outcomes: np.ndarray) -> np.ndarray:
     """Squared norms ||w_a psi||^2 for every outcome a, in any order, on one
-    shared grid of panels, by blocks.
+    shared grid of panels.
 
     Gaussian panels of the window width tile the span of the live windows
     [lo, hi] (clipped to the basis domain), each carrying one Gauss-Legendre
@@ -68,14 +76,18 @@ def _scan_norms(state: EigenState, kind: str, error: float, outcomes: np.ndarray
     panels run between consecutive window edges, so the step's jumps fall
     on panel ends; each carries one rule whose node count keeps the longest
     panel at the density of a window's own rule. Only panels some window
-    touches get nodes. The eigenfunctions are evaluated once, and the real
-    and imaginary parts of g = u w psi are stacked into one real
-    (2 n_max, nodes) array. The live outcomes, sorted by position, are then
-    reduced in blocks of `_BLOCK`: each block's filter profiles, cut to
-    their windows, multiply g over only the nodes those windows cover, and
-    the product's rows, the real and then the imaginary parts of the
-    coefficients of w_a psi, give their squared norms. Outcomes whose window
-    lies wholly outside the basis domain read exactly 0.
+    touches get nodes, and the eigenfunctions are evaluated once on them.
+
+    A step window is a run of whole panels, so the coefficients of w_a psi
+    are the difference of the running panel integrals of u psi at its two
+    edges. For the Gaussian filter the real and imaginary parts of
+    g = u w psi are stacked into one real (2 n_max, nodes) array, and the
+    live outcomes, sorted by position, are reduced in blocks of `_BLOCK`:
+    each block's filter profiles, cut to their windows, multiply g over only
+    the nodes those windows cover, and the product's rows, the real and then
+    the imaginary parts of the coefficients of w_a psi, give their squared
+    norms. Outcomes whose window lies wholly outside the basis domain read
+    exactly 0.
     """
     basis = state.basis
     n_max = basis.n_max
@@ -116,6 +128,29 @@ def _scan_norms(state: EigenState, kind: str, error: float, outcomes: np.ndarray
     w = (0.5 * (right - left)[:, None] * base_w).ravel()
     u = eigenfunction_matrix(basis, x)                       # (n_max, nodes)
     c = state.coefficients
+    if kind == "step":
+        weighted = np.stack([w * (c.real @ u), w * (c.imag @ u)]).reshape(2, -1, nodes)
+        integrals = np.zeros((n_max, edges.size - 1), dtype=complex)
+        integrals.real[:, covered], integrals.imag[:, covered] = np.einsum(
+            "ipm,kpm->kip", u.reshape(n_max, -1, nodes), weighted, optimize=True)
+        # the running sums start from either end of the grid, and a window
+        # takes those from the end with less of the panels' weight beyond its
+        # far edge, so in the state's far tails the round-off stays relative
+        # to the window's own norm. In order of position the windows summed
+        # from the left come first, and each run covers only the edges its
+        # windows reach.
+        i, j = np.searchsorted(edges, lo[rows]), np.searchsorted(edges, hi[rows])
+        weight = np.zeros(edges.size)
+        np.cumsum(_squared_norms(integrals), out=weight[1:])
+        k = int(np.count_nonzero(weight[j] <= weight[-1] - weight[i]))
+        top, bottom = int(j[:k].max(initial=0)), int(i[k:].min(initial=edges.size - 1))
+        ahead = np.zeros((n_max, top + 1), dtype=complex)
+        np.cumsum(integrals[:, :top], axis=1, out=ahead[:, 1:])
+        behind = np.zeros((n_max, edges.size - bottom), dtype=complex)
+        np.cumsum(integrals[:, bottom:][:, ::-1], axis=1, out=behind[:, -2::-1])
+        norms[rows[:k]] = _squared_norms(ahead[:, j[:k]] - ahead[:, i[:k]])
+        norms[rows[k:]] = _squared_norms(behind[:, i[k:] - bottom] - behind[:, j[k:] - bottom])
+        return norms
     g = np.empty((2 * n_max, x.size))
     np.multiply(u, w * (c.real @ u), out=g[:n_max])
     np.multiply(u, w * (c.imag @ u), out=g[n_max:])
@@ -127,21 +162,16 @@ def _scan_norms(state: EigenState, kind: str, error: float, outcomes: np.ndarray
     starts = np.searchsorted(x, lo[rows], side="left").tolist()
     ends = np.searchsorted(x, hi[rows], side="right").tolist()
     # every node lies in the domain, so a window is the nodes within `half`
-    # of its outcome; the Gaussian profile is formed in place and rounds as
-    # evaluate_weight does, with exp(-inf) = 0 outside the window, and the
-    # step profile is the window's indicator, exact on panels that end at
-    # window edges
+    # of its outcome; the profile is formed in place and rounds as
+    # evaluate_weight does, with exp(-inf) = 0 outside the window
     reach, scale = half**2, -2.0 * error**2
     for i in range(0, rows.size, _BLOCK):
         j0, j1 = starts[i], ends[min(i + _BLOCK, rows.size) - 1]
         f = np.subtract.outer(a[i:i + _BLOCK], x[j0:j1])
         np.square(f, out=f)
-        if kind == "gaussian":
-            f[f > reach] = np.inf
-            f /= scale
-            np.exp(f, out=f)
-        else:
-            np.less_equal(f, reach, out=f)
+        f[f > reach] = np.inf
+        f /= scale
+        np.exp(f, out=f)
         r = f @ g[:, j0:j1].T
         norms[rows[i:i + _BLOCK]] = np.einsum("ij,ij->i", r, r)
     return norms

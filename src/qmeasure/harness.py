@@ -13,24 +13,14 @@ R and S the amplitude and spread of engine A's packet in the phase plane
 (x, p/(m omega)), which free evolution keeps. K = 8 leaves 1.2e-15 of a
 Gaussian beyond the walls at any time of an interval, against the leak
 guard's 1e-8. The same reach sets every chain's free Pade step
-(`pde.free_step`), with or without that section. `run` and `cross_validate` scan every measurement, `sweep`
-only the last; all go through that table alone, and `_records`
-turns chain records into ResultRecords in one place.
-The chains of a plan list are independent, so `_records` maps every
-engine's over k = min(plans, CPUs) threads of the calling process with
-`ThreadPoolExecutor.map`, taken in plan order. The threads do not overlap
-engine B's solves: scipy's wrapper of LAPACK's tridiagonal solve (zgttrs)
-holds the interpreter lock: on 2 cores two threads of 1,000 solves at 1,161
-points took 0.050 s, the same 2,000 in series 0.049 s, and the sweep-B
-chains 0.045 s in process on two CPUs against 0.044 s on one. The threads
-share the memoized weight matrices and quadrature rules, which are
-read-only. Records
-come back in plan order, and so does the first failure; chains not started
-by then never run. With k = 1 (one CPU, or a `run` or `validate`, whose plan
-is one chain) the builtin `map` runs them in the calling thread and no
-thread starts. At a fixed BLAS thread count (one when qmeasure is imported
-before numpy) the output bytes do not depend on the CPU count, and
-in-process tracing sees every chain.
+(`pde.free_step`), with or without that section. `run` and `cross_validate`
+scan every measurement, `sweep` only the last; all go through that table
+alone, and `_records` runs the chains one after another in the calling
+thread, in plan order, and turns their records into ResultRecords in one
+place. The first failure stops a sweep, and later chains never run. No
+thread starts, so tracing sees every chain on one span stack, and at a
+fixed BLAS thread count (one when qmeasure is imported before numpy) the
+output bytes do not depend on the CPU count.
 Emission is deterministic: fixed column order, fixed float formatting, a
 content hash of the settings in every JSON document, and no wall-clock
 fields in any artifact.
@@ -40,10 +30,8 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import os
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -335,17 +323,12 @@ ENGINES = {"A": _engine_a, "B": _engine_b, "C": _engine_c}
 
 def _records(cfg: "ExperimentConfig", ratios, scan_at) -> list:
     """ResultRecords of every configured engine at each interval/period
-    ratio, for the measurements in `scan_at` (None: all). The chains run as
-    the module docstring states."""
-    jobs = [(engine, r, _plan(cfg, r * _period(cfg))) for engine in cfg.engines for r in ratios]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    k = min(len(ratios), cpus or 1)
-    with ThreadPoolExecutor(k) as pool:
-        chains = (pool.map if k > 1 else map)(
-            lambda job: ENGINES[job[0]](cfg, job[2], scan_at), jobs)
-        return [ResultRecord(engine, cfg.filter.kind, r, c.n, c.delta_a_eff, c.a_tilde,
-                             c.norm_squared)
-                for (engine, r, _), chain in zip(jobs, chains) for c in chain]
+    ratio, for the measurements in `scan_at` (None: all), chain by chain in
+    plan order."""
+    return [ResultRecord(engine, cfg.filter.kind, r, c.n, c.delta_a_eff, c.a_tilde,
+                         c.norm_squared)
+            for engine in cfg.engines for r in ratios
+            for c in ENGINES[engine](cfg, _plan(cfg, r * _period(cfg)), scan_at)]
 
 
 def run(cfg: "ExperimentConfig") -> list:

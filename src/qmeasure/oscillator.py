@@ -43,7 +43,7 @@ class OscillatorBasis:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.mass <= 0 or self.omega <= 0 or self.hbar <= 0:
+        if not (self.mass > 0 and self.omega > 0 and self.hbar > 0):
             raise ValueError("mass, omega and hbar must be positive")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")

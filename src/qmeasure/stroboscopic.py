@@ -54,13 +54,13 @@ class StroboscopicPlan:
     result_value: float = 0.0
 
     def __post_init__(self):
-        if self.interval <= 0:
+        if not self.interval > 0:
             raise ValueError("interval must be positive")
         if self.measurements < 1:
             raise ValueError("measurements must be at least 1")
         if self.filter_kind not in FILTER_KINDS:
             raise ValueError(f"filter_kind must be one of {FILTER_KINDS}")
-        if self.error <= 0:
+        if not self.error > 0:
             raise ValueError("error must be positive")
         if isinstance(self.results, str):
             if self.results not in ("constant", "alternating"):

@@ -37,7 +37,7 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}; expected one of {FILTER_KINDS}")
-        if self.error <= 0:
+        if not self.error > 0:
             raise ValueError("filter error must be positive")
 
     def window_halfwidth(self) -> float:
@@ -61,7 +61,7 @@ def measurement_coupling(error: float, duration: float) -> float:
     (x-a)^2 for a time tau accumulates exactly the Gaussian filter
     exp(-(x-a)^2/(2 da^2)) when the Hamiltonian part is negligible.
     """
-    if error <= 0 or duration <= 0:
+    if not (error > 0 and duration > 0):
         raise ValueError("error and duration must be positive")
     return 1.0 / (2.0 * error**2 * duration)
 

@@ -227,7 +227,7 @@ def test_result_deep_in_the_tail_is_a_numerical_failure(tmp_path, capsys):
      "raise numerics.levels"),
 ], ids=["B", "C"])
 def test_sweep_chain_failure_exit_code(tmp_path, capsys, mapping, message):
-    # every chain of the sweep fails, whichever thread runs it
+    # every chain of the sweep fails
     cfg = _write_config(tmp_path, mapping | {
         "plan": {"measurements": 3},
         "sweep": {"points": 3},
@@ -236,7 +236,6 @@ def test_sweep_chain_failure_exit_code(tmp_path, capsys, mapping, message):
     threads = set(threading.enumerate())
     assert main(["sweep", "--config", cfg]) == 3
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
-    # no chain thread outlives the sweep
     assert set(threading.enumerate()) <= threads
 
 

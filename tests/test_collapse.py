@@ -93,56 +93,80 @@ def test_rows_outside_domain_are_zero(basis, packet):
         assert np.all(_scan_norms(packet, kind, 1.0, outside) == 0.0)
 
 
-def _gaussian_norms_reference(state, error, outcomes):
-    """The Gaussian scan as a plain loop: each live outcome's filter
-    profile over every node of the shared panel grid, masked to its window,
-    gives the coefficients of W(a) c and their squared norm."""
-    half = 8.0 * error
+def _norms_reference(state, kind, error, outcomes):
+    """The scan as a plain loop: each live outcome's filter profile over
+    the nodes of the shared panel grid in its window gives the
+    coefficients of W(a) c and their squared norm. Gaussian panels as wide
+    as a window tile the live span; step panels run between consecutive
+    window edges, with nodes on the panels some window covers, so the step
+    profile is the window's indicator."""
+    half = WeightSpec(kind, 0.0, error).window_halfwidth()
     limit = domain_halfwidth(state.basis)
     lo = np.clip(outcomes - half, -limit, limit)
     hi = np.clip(outcomes + half, -limit, limit)
     live = np.flatnonzero(hi > lo)
     width = 2.0 * half
-    start, stop = lo[live].min(), hi[live].max()
-    left = start + width * np.arange(max(1, int(np.ceil((stop - start) / width))))
-    right = np.minimum(left + width, stop)
-    base_x, base_w = _legendre_rule(quadrature_nodes(width))
+    nodes = quadrature_nodes(width)
+    if kind == "gaussian":
+        start, stop = lo[live].min(), hi[live].max()
+        left = start + width * np.arange(max(1, int(np.ceil((stop - start) / width))))
+        right = np.minimum(left + width, stop)
+    else:
+        edges = np.unique(np.concatenate([lo[live], hi[live]]))
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        covered = [np.any((lo[live] < m) & (m < hi[live])) for m in mid]
+        left, right = edges[:-1][covered], edges[1:][covered]
+        nodes = int(np.ceil(nodes * np.max(right - left) / width)) + 4
+    base_x, base_w = _legendre_rule(nodes)
     x = (0.5 * (right - left)[:, None] * base_x + 0.5 * (right + left)[:, None]).ravel()
     w = (0.5 * (right - left)[:, None] * base_w).ravel()
     u = eigenfunction_matrix(state.basis, x)
-    psi = state.coefficients @ u
+    g = w * (state.coefficients @ u)
     norms = np.zeros(outcomes.size)
     for i in live:
-        f = np.exp(-((x - outcomes[i]) ** 2) / (2.0 * error**2))
-        f[(x < lo[i]) | (x > hi[i])] = 0.0
-        norms[i] = np.linalg.norm(u @ (w * f * psi)) ** 2
+        inside = (x >= lo[i]) & (x <= hi[i])
+        f = (np.exp(-((x[inside] - outcomes[i]) ** 2) / (2.0 * error**2))
+             if kind == "gaussian" else 1.0)
+        norms[i] = np.linalg.norm(u[:, inside] @ (f * g[inside])) ** 2
     return norms
 
 
-# the blocked scan sums the same products in another order: float64
+# the blocked Gaussian scan sums the same products in another order: float64
 # round-off, relative to each squared norm, so that outcomes far out in the
 # state's tails count as much as the peak's
 SCAN_RTOL = 1e-13
 
 
-@pytest.mark.parametrize("error", [0.3, 1.0])
-def test_blocked_scan_matches_plain_loop(basis, rng, error):
+@pytest.mark.parametrize("kind, error", [pytest.param("gaussian", e, id=str(e)) for e in (0.05, 0.3, 1.0, 3.0)]
+                         + [pytest.param("step", e, id=f"step-{e}") for e in (0.05, 1.0, 3.0)])
+def test_blocked_scan_matches_plain_loop(basis, rng, kind, error):
     """Shuffled outcomes, windows across panel edges and past the domain
-    edge, and outcomes wholly outside the domain."""
+    edge, and outcomes wholly outside the domain. The step scan's window
+    coefficients are differences of running panel sums, taken from the end
+    of the grid nearer the window's tail: 1e-14 of the largest norm
+    everywhere, and 1e-12 relative down to 1e-8 of it (sums from the left
+    end alone read 4e-12 there on these 801 outcomes)."""
     state = _random_state(basis, rng)
-    limit, width = domain_halfwidth(basis), 16.0 * error
+    limit = domain_halfwidth(basis)
+    half = WeightSpec(kind, 0.0, error).window_halfwidth()
+    width = 2.0 * half
     # the outcomes run past the domain, so the panels start at -limit
     edges = -limit + width * np.arange(1, 4)
     outcomes = np.concatenate([
-        np.linspace(-limit - 2.0 * width, limit + 2.0 * width, 301),
+        np.linspace(-limit - 2.0 * width, limit + 2.0 * width, 801),
         edges - 0.5 * width, edges + 0.1 * error, edges - 0.1 * error,
         rng.uniform(-limit, limit, 40),
     ])
     outcomes = outcomes[rng.permutation(outcomes.size)]
-    norms = _scan_norms(state, "gaussian", error, outcomes)
-    reference = _gaussian_norms_reference(state, error, outcomes)
-    assert np.all(np.abs(norms - reference) <= SCAN_RTOL * reference)
-    outside = (outcomes + 8.0 * error <= -limit) | (outcomes - 8.0 * error >= limit)
+    norms = _scan_norms(state, kind, error, outcomes)
+    reference = _norms_reference(state, kind, error, outcomes)
+    gap, largest = np.abs(norms - reference), np.max(reference)
+    assert np.all(gap <= 1e-14 * largest)
+    tail = reference > 1e-8 * largest
+    assert np.all(gap[tail] <= 1e-12 * reference[tail])
+    if kind == "gaussian":
+        assert np.all(gap <= SCAN_RTOL * reference)
+    outside = (outcomes + half <= -limit) | (outcomes - half >= limit)
     assert outside.any() and np.all(norms[outside] == 0.0)
 
 

@@ -6,10 +6,12 @@ from qmeasure import (
     ChainUnderflowError,
     EigenState,
     Lattice,
+    OscillatorBasis,
     StroboscopicPlan,
     WeightSpec,
     config_from_mapping,
     distribution,
+    measurement_coupling,
     nth_outcome_distribution,
     outcome_distribution,
     position_moments,
@@ -39,6 +41,28 @@ def test_plan_validation():
         StroboscopicPlan(1.0, 4, results="drift")
     with pytest.raises(ValueError):
         StroboscopicPlan(1.0, 4, results=(0.0, 0.0))
+
+
+NAN = float("nan")
+
+
+# NaN fails every comparison, so each check must pass only positive values
+@pytest.mark.parametrize("build, message", [
+    (lambda: StroboscopicPlan(NAN, 4), "interval must be positive"),
+    (lambda: StroboscopicPlan(1.0, 4, error=NAN), "error must be positive"),
+    (lambda: stroboscopic_widths(5.0, NAN, 4, 1.0, 1e-5, 0.5, 1.0), "interval must be positive"),
+    (lambda: OscillatorBasis(NAN, 1.0, 8), "mass, omega and hbar must be positive"),
+    (lambda: OscillatorBasis(0.5, NAN, 8), "mass, omega and hbar must be positive"),
+    (lambda: OscillatorBasis(0.5, 1.0, 8, NAN), "mass, omega and hbar must be positive"),
+    (lambda: WeightSpec("gaussian", 0.0, NAN), "filter error must be positive"),
+    (lambda: WeightSpec("step", 0.0, NAN), "filter error must be positive"),
+    (lambda: measurement_coupling(NAN, 1.0), "error and duration must be positive"),
+    (lambda: measurement_coupling(1.0, NAN), "error and duration must be positive"),
+], ids=["plan-interval", "plan-error", "widths-interval", "basis-mass", "basis-omega",
+        "basis-hbar", "spec-gaussian", "spec-step", "coupling-error", "coupling-duration"])
+def test_nan_parameters_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_imposed_result_policies():
