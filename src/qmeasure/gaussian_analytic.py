@@ -48,7 +48,7 @@ class GaussianPacket:
     def from_width(cls, width: float, center: float = 0.0, momentum: float = 0.0,
                    hbar: float = 1.0) -> "GaussianPacket":
         """Normalized packet of width sigma centered at `center`."""
-        if width <= 0:
+        if not width > 0:
             raise ValueError("width must be positive")
         g = 1.0 / (2.0 * width**2)
         b = 2.0 * g * center + 1j * momentum / hbar
@@ -128,9 +128,9 @@ def evolve_free(packet: GaussianPacket, duration: float, mass: float, omega: flo
     coefficient flips sign), which also avoids the kernel's sin(omega t)
     singularities; any remainder goes through the fractional-linear map.
     """
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError("omega must be positive")
-    if duration < 0:
+    if not duration >= 0:
         raise ValueError("duration must be nonnegative")
     half = np.pi / omega
     k = int(np.floor(duration / half))
@@ -190,7 +190,7 @@ def stroboscopic_widths(
     imposed with the given results and the packet evolved onward. `scan_at`
     restricts which measurements get a record (all by default).
     """
-    if gate_duration <= 0:
+    if not gate_duration > 0:
         raise ValueError("gate_duration must be positive")
     plan = StroboscopicPlan(interval, measurements, "gaussian", error, results, result_value)
     return _scan_chain(plan, GaussianPacket.from_width(width, center=center),

@@ -1,9 +1,10 @@
 """Harmonic-oscillator eigenbasis tools.
 
 Everything the eigenbasis measurement engine needs from the oscillator
-itself: stable evaluation of the normalized eigenfunctions, free-evolution
-phase factors, shared Gauss-Legendre quadrature helpers, and projection of
-Gaussian packets onto a truncated basis.
+itself: stable evaluation of the normalized eigenfunctions (also far out,
+where the ground state underflows), free-evolution phase factors, shared
+Gauss-Legendre quadrature helpers for the weight matrices and outcome scans,
+and the closed-form projection of Gaussian packets onto a truncated basis.
 
 Conventions used throughout the package: levels are indexed from n = 0 with
 energy E_n = hbar*omega*(n + 1/2); a Gaussian of width sigma means
@@ -13,10 +14,13 @@ sigma^2 = hbar/(m*omega).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+_LN2 = math.log(2.0)
 
 
 class QuadratureError(RuntimeError):
@@ -73,15 +77,52 @@ def eigenfunction_matrix(basis: OscillatorBasis, x) -> np.ndarray:
     Returns an array of shape (n_max,) + x.shape. Uses the three-term
     recurrence on the normalized Hermite functions, which is stable upward
     (unnormalized Hermite polynomials overflow near n ~ 150; the normalized
-    functions stay O(1) for any level).
+    functions stay O(1) for any level). Beyond |xi| = FAR_XI, where u_0
+    nears the smallest float, the recurrence carries a power-of-two scale
+    per point (`_scaled_recurrence`).
     """
     xi = np.asarray(x, dtype=float) * np.sqrt(basis.mass * basis.omega / basis.hbar)
+    norm = (basis.mass * basis.omega / (np.pi * basis.hbar)) ** 0.25
     out = np.empty((basis.n_max,) + xi.shape)
-    out[0] = (basis.mass * basis.omega / (np.pi * basis.hbar)) ** 0.25 * np.exp(-0.5 * xi**2)
+    out[0] = norm * np.exp(-0.5 * xi**2)
     if basis.n_max > 1:
         out[1] = np.sqrt(2.0) * xi * out[0]
     for n in range(1, basis.n_max - 1):
         out[n + 1] = np.sqrt(2.0 / (n + 1)) * xi * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
+    far = np.abs(xi) > FAR_XI
+    if np.any(far):
+        columns, far = out.reshape(basis.n_max, -1), far.ravel()
+        columns[:, far] = _scaled_recurrence(norm, xi.ravel()[far], basis.n_max)
+    return out
+
+
+# u_0 = exp(-xi^2/2) falls below the smallest normal float at |xi| = 37.6
+# and to 0 at 38.6, while level 999 turns at 44.7
+FAR_XI = 37.0
+
+
+def _scaled_recurrence(norm: float, xi: np.ndarray, n_max: int) -> np.ndarray:
+    """The eigenfunction recurrence at points xi, run on mantissas
+    t_n = u_n 2**e so that no point's u_0 underflows.
+
+    e starts at each point's binary exponent of exp(-xi^2/2) and drops as
+    the levels grow; the ldexp that returns u_n is exact wherever u_n is a
+    normal float, and values below the smallest normal float read 0.
+    """
+    half_square = 0.5 * xi**2
+    e = np.floor(half_square / _LN2)
+    prev, cur = np.zeros_like(xi), norm * np.exp(e * _LN2 - half_square)
+    e = e.astype(np.int64)
+    out = np.empty((n_max,) + xi.shape)
+    out[0] = np.ldexp(cur, -e)
+    for n in range(n_max - 1):
+        prev, cur = cur, np.sqrt(2.0 / (n + 1)) * xi * cur - np.sqrt(n / (n + 1.0)) * prev
+        k = np.minimum(e, np.maximum(np.frexp(cur)[1], 0))
+        prev, cur, e = np.ldexp(prev, -k), np.ldexp(cur, -k), e - k
+        out[n + 1] = np.ldexp(cur, -e)
+    # denormals carry nothing at 1e-308 of the O(1) levels and slow every
+    # product that reads them
+    out[np.abs(out) < np.finfo(float).tiny] = 0.0
     return out
 
 
@@ -139,7 +180,7 @@ def position_moments(state: EigenState) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers shared by the weight-matrix and projection code
+# quadrature helpers shared by the weight-matrix and outcome-scan code
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
@@ -202,21 +243,15 @@ def gauss_legendre(lo: float, hi: float, points: int) -> tuple[np.ndarray, np.nd
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
-def domain_halfwidth(basis: OscillatorBasis, reach: float = 0.0) -> float:
-    """Half-width that covers both the basis support and any wider packet.
+def domain_halfwidth(basis: OscillatorBasis) -> float:
+    """Half-width that covers the basis support.
 
     The highest retained level oscillates out to its classical turning point
     and decays as a Gaussian beyond it; six length scales of margin push the
-    tail below 1e-12. `reach` extends the domain for wide packets or
-    off-center filters (pass e.g. |center| + 8*width).
+    tail below 1e-12.
     """
     lx = basis.length_scale
-    return max(float(reach), 8.0 * lx, basis.turning_point(basis.n_max - 1) + 6.0 * lx)
-
-
-# the largest rule project_gaussian builds: 1,000 levels and width 0.3 take
-# 3,344 nodes, and the eigenfunctions on 4,000 take 32 MB at 1,000 levels
-_MAX_PROJECTION_NODES = 4000
+    return max(8.0 * lx, basis.turning_point(basis.n_max - 1) + 6.0 * lx)
 
 
 def project_gaussian(
@@ -224,8 +259,14 @@ def project_gaussian(
     width: float,
     center: float = 0.0,
 ) -> tuple[EigenState, float]:
-    """Expand a normalized Gaussian packet in the truncated basis, on a
-    quadrature rule sized to the packet.
+    """Expand a normalized Gaussian packet in the truncated basis, in closed
+    form.
+
+    The packet is a squeezed coherent state. In xi = x/l, with s = sigma/l
+    and xi0 = center/l, the Hermite generating function gives its amplitudes
+    as c_0 = sqrt(2 s/(s^2+1)) exp(-xi0^2/(2 (s^2+1))), c_1 = beta c_0 and
+    c_(n+1) = (beta c_n + gamma sqrt(n) c_(n-1)) / sqrt(n+1), where
+    beta = sqrt(2) xi0/(s^2+1) and gamma = (s^2-1)/(s^2+1).
 
     Parameters
     ----------
@@ -240,33 +281,34 @@ def project_gaussian(
         Norm fraction sum |c_n|^2 of the exact packet retained by the
         truncation, so that truncation loss stays visible.
     """
-    if width <= 0:
+    if not width > 0:
         raise ValueError("packet width must be positive")
-    L = domain_halfwidth(basis, abs(center) + 8.0 * width)
-    # Gauss-Legendre nodes lie about pi L / points apart mid-domain on
-    # [-L, L]; the top level oscillates there at wavenumber
-    # sqrt(2 n_max + 1)/lx, and the packet's spectrum falls to roundoff at
-    # 8/width. From 64 to 1,000 levels and widths 0.1 to 5, 0.45 to 0.62
-    # nodes per unit of L times their sum gave every coefficient to 1e-11;
-    # the floor keeps the rule of 800 nodes wherever that sufficed
-    k = np.sqrt(2.0 * basis.n_max + 1.0) / basis.length_scale + 8.0 / width
-    points = max(800, int(np.ceil(0.8 * L * k)))
-    if points > _MAX_PROJECTION_NODES:
-        raise QuadratureError(
-            f"quadrature cannot resolve the packet: it needs {points} nodes, more than "
-            f"{_MAX_PROJECTION_NODES}; widen the packet or lower the level count"
-        )
-    x, w = gauss_legendre(-L, L, points)
-    psi = (np.pi * width**2) ** -0.25 * np.exp(-((x - center) ** 2) / (2.0 * width**2))
-    # convergence guard: the rule must at least integrate the packet itself
-    packet_norm = float(np.sum(w * psi**2))
-    if abs(packet_norm - 1.0) > 1e-9:
-        raise QuadratureError(
-            f"quadrature cannot resolve the packet (norm {packet_norm!r}); "
-            "widen the domain or raise the node count"
-        )
-    u = eigenfunction_matrix(basis, x)
-    coeff = (u * w) @ psi
+    s, xi0 = width / basis.length_scale, center / basis.length_scale
+    d = s * s + 1.0
+    beta, gamma = math.sqrt(2.0) * xi0 / d, (s * s - 1.0) / d
+    # the recurrence runs on mantissas t_n = c_n 2**e_n, so that a far packet's
+    # c_0 (below the smallest float once xi0^2/(2 d) passes about 708) neither
+    # underflows nor loses digits to denormals; e shrinks to 0 as the
+    # amplitudes grow, and the last step's ldexp is exact wherever c_n is normal
+    q = xi0 * xi0 / (2.0 * d)
+    e = int(q / _LN2)
+    cur, prev = math.sqrt(2.0 * s / d) * math.exp(e * _LN2 - q), 0.0
+    roots = np.sqrt(np.arange(basis.n_max + 1.0)).tolist()
+    mantissas, exponents = [cur], [e]
+    for n in range(basis.n_max - 1):
+        prev, cur = cur, (beta * cur + gamma * roots[n] * prev) / roots[n + 1]
+        if e and abs(cur) > 1.0:
+            k = min(e, math.frexp(cur)[1])
+            prev, cur, e = math.ldexp(prev, -k), math.ldexp(cur, -k), e - k
+        mantissas.append(cur)
+        exponents.append(e)
+    coeff = np.ldexp(mantissas, -np.array(exponents))
     captured = float(np.sum(coeff**2))
+    if not 0.0 < captured < math.inf:
+        # 0 where every amplitude is below 1e-162, NaN or inf for an
+        # overflowing width
+        raise ArithmeticError(
+            f"the packet's captured fraction {captured!r} cannot be normalized; "
+            "raise the level count or bring the width into range")
     state = EigenState(basis, coeff.astype(complex) / np.sqrt(captured))
     return state, captured

@@ -148,7 +148,7 @@ class GridWavefunction:
 
 def sample_gaussian(lattice: Lattice, width: float, center: float = 0.0) -> GridWavefunction:
     """Normalized Gaussian packet sampled on the lattice."""
-    if width <= 0:
+    if not width > 0:
         raise ValueError("width must be positive")
     x = lattice.x
     values = (np.pi * width**2) ** -0.25 * np.exp(-((x - center) ** 2) / (2.0 * width**2))
@@ -169,9 +169,9 @@ class TridiagonalOperator:
 def effective_hamiltonian(lattice: Lattice, mass: float, omega: float,
                           hbar: float = 1.0) -> TridiagonalOperator:
     """Compact fourth-order Hamiltonian; omega = 0 gives a free particle."""
-    if mass <= 0 or hbar <= 0:
+    if not (mass > 0 and hbar > 0):
         raise ValueError("mass and hbar must be positive")
-    if omega < 0:
+    if not omega >= 0:
         raise ValueError("omega must be nonnegative")
     k = hbar**2 / (2.0 * mass * lattice.dx**2)
     v = 0.5 * mass * omega**2 * lattice.x**2 + 0j
@@ -315,7 +315,7 @@ def run_stroboscopic(lattice: Lattice | None, plan: StroboscopicPlan, width: flo
     """
     if plan.filter_kind != "gaussian":
         raise ValueError("step filters have no local gate Hamiltonian on the grid")
-    if gate_duration <= 0:
+    if not gate_duration > 0:
         raise ValueError("gate_duration must be positive")
     _check_gate_steps(gate_steps, gate_duration)
     reach = chain_reach(plan, width, gate_duration, mass, omega, hbar, center)

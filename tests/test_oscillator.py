@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from scipy.special import eval_hermite, factorial
@@ -5,7 +8,6 @@ from scipy.special import eval_hermite, factorial
 from qmeasure import (
     EigenState,
     OscillatorBasis,
-    QuadratureError,
     eigenfunction_matrix,
     free_phase_factors,
     gauss_legendre,
@@ -13,7 +15,8 @@ from qmeasure import (
     position_wavefunction,
     project_gaussian,
 )
-from qmeasure.oscillator import _legendre_rule, domain_halfwidth
+from qmeasure.cli import main
+from qmeasure.oscillator import FAR_XI, _legendre_rule, _scaled_recurrence, domain_halfwidth
 
 # ground state amplitude at the origin, (m omega / pi hbar)^(1/4) at the
 # default units m=1/2, omega=1, hbar=1
@@ -65,6 +68,31 @@ def test_orthonormality(basis):
     assert np.max(np.abs(gram - np.eye(basis.n_max))) < 1e-8
 
 
+def test_orthonormality_beyond_the_underflow():
+    """At 768 levels the top level turns at xi = 39.2 and the domain reaches
+    45.2, past xi = 38.6 where u_0 = exp(-xi^2/2) reads 0: without a scale
+    of its own, every level read 0 there, and u_767's norm 0.89."""
+    basis = OscillatorBasis(0.5, 1.0, 768)
+    L = domain_halfwidth(basis)
+    x, w = gauss_legendre(-L, L, 2400)
+    u = eigenfunction_matrix(basis, x)
+    gram = (u * w) @ u.T
+    assert np.max(np.abs(gram - np.eye(basis.n_max))) < 1e-12
+
+
+def test_scaled_recurrence_matches_the_plain_one():
+    """Where u_0 is still a normal float, the scaled recurrence gives the
+    plain one's values, to 1e-12 of each point's largest level (splitting
+    exp(-xi^2/2) at a power of two rounds its argument, of up to 685, anew)."""
+    basis = OscillatorBasis(0.5, 1.0, 400)
+    xi = np.linspace(20.0, FAR_XI, 41)
+    norm = (basis.mass * basis.omega / (np.pi * basis.hbar)) ** 0.25
+    plain = eigenfunction_matrix(basis, xi * basis.length_scale)
+    scaled = _scaled_recurrence(norm, xi, basis.n_max)
+    assert np.all(scaled != 0.0)
+    assert np.max(np.abs(scaled - plain) / np.max(np.abs(plain), axis=0)) < 1e-12
+
+
 def test_free_phases_full_period(basis):
     # after one period every level has advanced by exp(-2 pi i (n + 1/2)) = -1
     phases = free_phase_factors(basis, basis.period)
@@ -77,11 +105,47 @@ def test_free_phases_compose(basis):
     assert np.allclose(p1 * p2, free_phase_factors(basis, 1.8), atol=1e-12)
 
 
+def _quadrature_projection(basis, width, center):
+    """The packet's amplitudes from a Gauss-Legendre rule sized to the basis
+    and the packet (0.8 nodes per unit of half-width times the top level's
+    and the packet's wavenumbers, at least 800): the reference for
+    project_gaussian's closed form."""
+    L = max(domain_halfwidth(basis), abs(center) + 8.0 * width)
+    k = np.sqrt(2.0 * basis.n_max + 1.0) / basis.length_scale + 8.0 / width
+    x, w = gauss_legendre(-L, L, max(800, int(np.ceil(0.8 * L * k))))
+    psi = (np.pi * width**2) ** -0.25 * np.exp(-((x - center) ** 2) / (2.0 * width**2))
+    return (eigenfunction_matrix(basis, x) * w) @ psi
+
+
+@pytest.mark.parametrize("levels", [20, 64, 512])
+def test_projection_matches_quadrature(levels):
+    basis = OscillatorBasis(0.5, 1.0, levels)
+    for width in (0.3, 1.0, 5.0, 8.0):
+        for center in (0.0, 2.5, 7.0):
+            state, captured = project_gaussian(basis, width, center)
+            coeff = state.coefficients * np.sqrt(captured)
+            reference = _quadrature_projection(basis, width, center)
+            assert np.max(np.abs(coeff - reference)) <= 1e-13
+            assert abs(captured - np.sum(reference**2)) <= 1e-13
+
+
 def test_ground_state_projection_is_exact(basis):
     # the ground state is the Gaussian of width sqrt(hbar / m omega)
     state, captured = project_gaussian(basis, np.sqrt(2.0))
-    assert captured == pytest.approx(1.0, abs=1e-12)
-    assert abs(state.coefficients[0]) == pytest.approx(1.0, abs=1e-10)
+    assert captured == 1.0
+    assert np.array_equal(state.coefficients, np.eye(basis.n_max)[0])
+
+
+@pytest.mark.parametrize("center", [1.5, -3.0, 6.0])
+def test_coherent_state_amplitudes(basis, center):
+    """A packet of the ground state's width is a coherent state:
+    c_n = alpha^n exp(-alpha^2/2)/sqrt(n!), alpha = x0/(l sqrt(2))."""
+    alpha = center / (basis.length_scale * np.sqrt(2.0))
+    state, captured = project_gaussian(basis, basis.length_scale, center)
+    expected = [math.copysign(1.0, alpha) ** n
+                * math.exp(n * math.log(abs(alpha)) - alpha**2 / 2 - math.lgamma(n + 1) / 2)
+                for n in range(basis.n_max)]
+    assert np.max(np.abs(state.coefficients * np.sqrt(captured) - expected)) <= 1e-14
 
 
 def test_projection_capture_fractions(basis):
@@ -129,19 +193,36 @@ def test_moments_match_grid_integrals(basis, rng):
         assert v == pytest.approx(var, rel=1e-7)
 
 
-def test_projection_rejects_unresolvable_packet(basis):
-    with pytest.raises(QuadratureError):
-        project_gaussian(basis, 5e-4)
+def test_projection_rejects_unresolvable_packet(basis, tmp_path, capsys):
+    """64 levels hold 0.45% of a width-5e-4 packet; the run stops on the
+    truncation guard and names the setting to raise."""
+    _, captured = project_gaussian(basis, 5e-4)
+    assert captured == pytest.approx(0.0044958970581, abs=1e-13)
+    config = tmp_path / "narrow.json"
+    config.write_text(json.dumps({"state": {"width": 5e-4}}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    assert "raise numerics.levels" in capsys.readouterr().err
+    # amplitudes that are not finite are refused, not renormalized
+    with pytest.raises(ArithmeticError):
+        project_gaussian(basis, 1e200)
 
 
 @pytest.mark.parametrize("levels", [512, 1000])
 def test_projection_rule_grows_with_the_basis(levels):
-    """A width-0.3 packet on 512 and 1,000 levels needs more than 800 nodes
-    (the fixed rule integrated its norm to 0.9999999958 and 0.999973); the
-    rule sized from the basis and domain projects both."""
+    """A width-0.3 packet on 512 and 1,000 levels is captured whole."""
     state, captured = project_gaussian(OscillatorBasis(0.5, 1.0, levels), 0.3)
     assert captured > 0.999
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("width, center, expected", [
+    (0.3, 55.0, 0.999999999965),
+    # c_0 = 4.5e-390 here, below the smallest float
+    (0.1, 60.0, 0.839850093114),
+])
+def test_projection_of_far_packets(width, center, expected):
+    _, captured = project_gaussian(OscillatorBasis(0.5, 1.0, 1000), width, center)
+    assert captured == pytest.approx(expected, abs=1e-9)
 
 
 def test_eigenstate_normalization(basis, rng):

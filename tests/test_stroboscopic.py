@@ -5,18 +5,23 @@ from qmeasure import (
     ChainRecord,
     ChainUnderflowError,
     EigenState,
+    GaussianPacket,
     Lattice,
     OscillatorBasis,
     StroboscopicPlan,
     WeightSpec,
     config_from_mapping,
     distribution,
+    effective_hamiltonian,
+    evolve_free,
     measurement_coupling,
     nth_outcome_distribution,
     outcome_distribution,
     position_moments,
+    project_gaussian,
     qnd_commutator,
     run_stroboscopic,
+    sample_gaussian,
     stroboscopic_widths,
     sweep,
     uncertainty_evolution,
@@ -58,8 +63,22 @@ NAN = float("nan")
     (lambda: WeightSpec("step", 0.0, NAN), "filter error must be positive"),
     (lambda: measurement_coupling(NAN, 1.0), "error and duration must be positive"),
     (lambda: measurement_coupling(1.0, NAN), "error and duration must be positive"),
+    (lambda: project_gaussian(OscillatorBasis(0.5, 1.0, 8), NAN), "packet width must be positive"),
+    (lambda: GaussianPacket.from_width(NAN), "width must be positive"),
+    (lambda: evolve_free(GaussianPacket.from_width(5.0), NAN, 0.5, 1.0),
+     "duration must be nonnegative"),
+    (lambda: evolve_free(GaussianPacket.from_width(5.0), 1.0, 0.5, NAN), "omega must be positive"),
+    (lambda: stroboscopic_widths(5.0, 1.0, 4, 1.0, NAN, 0.5, 1.0),
+     "gate_duration must be positive"),
+    (lambda: run_stroboscopic(None, StroboscopicPlan(T / 2.0, 4), 5.0, NAN, 0.5, 1.0),
+     "gate_duration must be positive"),
+    (lambda: sample_gaussian(Lattice(), NAN), "width must be positive"),
+    (lambda: effective_hamiltonian(Lattice(), NAN, 1.0), "mass and hbar must be positive"),
+    (lambda: effective_hamiltonian(Lattice(), 0.5, NAN), "omega must be nonnegative"),
 ], ids=["plan-interval", "plan-error", "widths-interval", "basis-mass", "basis-omega",
-        "basis-hbar", "spec-gaussian", "spec-step", "coupling-error", "coupling-duration"])
+        "basis-hbar", "spec-gaussian", "spec-step", "coupling-error", "coupling-duration",
+        "projection-width", "packet-width", "free-duration", "free-omega", "widths-gate",
+        "lattice-gate", "lattice-width", "hamiltonian-mass", "hamiltonian-omega"])
 def test_nan_parameters_are_refused(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
